@@ -2,8 +2,9 @@
 
 Subcommands: ``seq`` prints family values, ``hankel`` prints Hankel
 determinants (or the matrix itself), ``verify`` streams NDJSON check
-reports, ``paths`` enumerates weighted lattice paths.  Exit codes: 0 ok,
-1 verification failures, 2 usage or domain errors.
+reports, ``paths`` sums or enumerates weighted lattice paths.  Exit codes:
+0 ok, 1 verification failures, 2 usage or domain errors, 3 unexpected
+internal errors (reported as one ``error:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .paths import (
     enumerate_paths,
     path_heights,
     path_weight,
-    path_weight_sum,
+    path_weight_sum_table,
 )
 from .polyring import ExactDivisionError, UniPoly
 from .report import encode_value, render_value, summarize
@@ -70,6 +71,8 @@ def _parse_sizes(text: str) -> list[int]:
 
 
 def _cmd_seq(args) -> int:
+    if args.n_max < 0:
+        raise ValueError(f"--n-max {args.n_max} must be >= 0")
     family = Family(args.family, args.k)
     rows = []
     for n in range(args.n_max + 1):
@@ -114,10 +117,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_paths(args) -> int:
-    cap = args.cap
-    if cap is None:
-        cap = int(os.environ.get("HANKEL_PATH_CAP", DEFAULT_CAP))
     if args.list:
+        cap = args.cap
+        if cap is None:
+            cap = int(os.environ.get("HANKEL_PATH_CAP", DEFAULT_CAP))
         for path in enumerate_paths(args.length, args.height, cap):
             heights = path_heights(path)
             weight = path_weight(path)
@@ -132,7 +135,7 @@ def _cmd_paths(args) -> int:
                 pretty = "(" + ",".join(str(h) for h in heights) + ")"
                 print(f"{pretty}: {render_value(weight)}")
         return 0
-    total = path_weight_sum(args.length, args.height, cap)
+    total = path_weight_sum_table(args.length, args.height)
     if args.format == "json":
         print(
             json.dumps(
@@ -203,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, required=True, help="end height")
     p.add_argument(
         "--cap", type=int, default=None,
-        help=f"enumeration cap on length (default {DEFAULT_CAP}, env HANKEL_PATH_CAP)",
+        help=f"--list cap on length (default {DEFAULT_CAP}, env HANKEL_PATH_CAP)",
     )
     p.add_argument("--list", action="store_true", help="one line per path")
     p.add_argument("--format", choices=("plain", "json"), default="plain")
@@ -223,6 +226,10 @@ def main(argv=None) -> int:
     except (ValueError, TruncationError, ExactDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        # Exit 1 is reserved for failed checks, so a crash gets its own code.
+        print(f"error: internal {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 def run() -> None:

@@ -16,20 +16,36 @@ Polynomial side (weight variable t)
         whose x^n coefficient ``narayana_conv(k, n)`` reduces to
         catalan_conv(k, n) at t=1.
 
+``narayana_conv`` does not multiply series.  It reads the two-term ballot
+recurrence behind the weighted path model (Prop 1):
+
+    a(k, n) = a(k-1, n) + w * a(k+1, n-1),   w = t for even k, 1 for odd k,
+
+with a(0, n) = [n == 0] and a(k, 0) = 1.  One pass gives the whole prefix
+n < N of one k in O((2N + k) * N) polynomial additions.  The prefixes live in
+``narayana_prefix``: it keeps the longest prefix computed so far for each k,
+at least doubles it when a longer one is asked for, and holds at most
+``NARAYANA_PREFIX_KS`` powers k, dropping the least recently used.
+``mixed_power_series`` stays the generating-function side that the
+verification suites compare the recurrence against.
+
 Lucas side
     ``lucas(n, x, s)``      L_0 = 2, L_1 = x, L_n = x L_{n-1} + s L_{n-2},
                             generic over any operands with +, *.
     ``companion_poly(k)``     L_k(1, -x), the integer companion polynomial.
     ``companion_poly_t(k)``   its t-refinement; degree floor((k+1)/2) in x.
 
-Everything is exact; results are cached where rebuilding would repeat work.
+Everything is exact; results are cached where rebuilding would repeat work,
+and every cache is bounded.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from typing import Callable
 
 from .polyring import UniPoly
 from .series import INTEGER_RING, POLY_RING, Series
@@ -50,7 +66,7 @@ def catalan_conv(k: int, n: int) -> int:
     return k * comb(2 * n + k - 1, n) // (n + k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def catalan_series(order: int) -> Series:
     return Series(INTEGER_RING, [catalan(n) for n in range(order)])
 
@@ -62,7 +78,7 @@ def catalan_power_series(k: int, order: int) -> Series:
     return catalan_series(order) ** k
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def narayana(n: int) -> UniPoly:
     """Narayana polynomial: sum over k of C(n,k) C(n-1,k) / (k+1) * t^k."""
     if n < 0:
@@ -74,13 +90,13 @@ def narayana(n: int) -> UniPoly:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def narayana_series(order: int) -> Series:
     """c0(x,t): ordinary generating function of the Narayana polynomials."""
     return Series(POLY_RING, [narayana(n) for n in range(order)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def narayana_series_weighted(order: int) -> Series:
     """c1(x,t) = 1 - t + t*c0(x,t): every positive-index coefficient gains t."""
     t = UniPoly((0, 1))
@@ -90,16 +106,9 @@ def narayana_series_weighted(order: int) -> Series:
     return Series(POLY_RING, coeffs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _weighted_pair(order: int) -> Series:
     return narayana_series(order) * narayana_series_weighted(order)
-
-
-@lru_cache(maxsize=None)
-def _weighted_pair_power(j: int, order: int) -> Series:
-    if j == 0:
-        return Series.one(POLY_RING, order)
-    return _weighted_pair_power(j - 1, order) * _weighted_pair(order)
 
 
 def mixed_power_series(k: int, order: int) -> Series:
@@ -111,10 +120,80 @@ def mixed_power_series(k: int, order: int) -> Series:
     if k < 0:
         raise ValueError(f"convolution power k={k} must be >= 0")
     half, odd = divmod(k, 2)
-    base = _weighted_pair_power(half, order)
+    base = _weighted_pair(order) ** half
     if odd:
         return base * narayana_series(order)
     return base
+
+
+def _ballot_prefix(k: int, size: int) -> list[UniPoly]:
+    """narayana_conv(k, n) for 0 <= n < size by the ballot recurrence.
+
+    Row n holds a(j, n) for 0 <= j <= k + size - 1 - n, the band of powers
+    that can still reach (k, size - 1).  Polynomials are coefficient tuples;
+    all coefficients are non-negative, so sums never cancel, and the
+    weight t is a prepended zero.
+    """
+    top = k + size - 1
+    row = [(1,)] * (top + 1)
+    out = [UniPoly((1,))]
+    for n in range(1, size):
+        prev, row = row, [()]
+        for j in range(1, top - n + 1):
+            a, b = row[j - 1], prev[j + 1]
+            if b and not j % 2:
+                b = (0,) + b
+            if len(a) < len(b):
+                a, b = b, a
+            row.append(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
+        out.append(UniPoly(row[k]))
+    return out
+
+
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+#: Most powers k whose narayana_conv prefix is kept at once.
+NARAYANA_PREFIX_KS = 32
+
+
+def _prefix_cache(build: Callable[[int, int], list], maxsize: int):
+    """Serve ``build(k, size)[n]`` from the longest prefix built so far per k.
+
+    A read past the prefix rebuilds it at least twice as long; past
+    ``maxsize`` keys the least recently used k is dropped.  Like a
+    ``functools.lru_cache`` function, the reader carries ``cache_info()``
+    and ``cache_clear()``.
+    """
+    prefixes: OrderedDict[int, list] = OrderedDict()
+    hits = misses = 0
+
+    def read(k: int, n: int):
+        nonlocal hits, misses
+        prefix = prefixes.get(k, ())
+        if n < len(prefix):
+            hits += 1
+        else:
+            misses += 1
+            prefix = prefixes[k] = build(k, max(n + 1, 2 * len(prefix)))
+            if len(prefixes) > maxsize:
+                prefixes.popitem(last=False)
+        prefixes.move_to_end(k)
+        return prefix[n]
+
+    def cache_info() -> CacheInfo:
+        return CacheInfo(hits, misses, maxsize, len(prefixes))
+
+    def cache_clear() -> None:
+        nonlocal hits, misses
+        prefixes.clear()
+        hits = misses = 0
+
+    read.cache_info = cache_info
+    read.cache_clear = cache_clear
+    return read
+
+
+narayana_prefix = _prefix_cache(_ballot_prefix, NARAYANA_PREFIX_KS)
 
 
 def narayana_conv(k: int, n: int) -> UniPoly:
@@ -123,9 +202,7 @@ def narayana_conv(k: int, n: int) -> UniPoly:
         raise ValueError(f"convolution power k={k} must be >= 1")
     if n < 0:
         return UniPoly()
-    # Round the truncation order up so repeated queries share cached series.
-    order = 16 * (n // 16 + 1)
-    return mixed_power_series(k, order).coefficient(n)
+    return narayana_prefix(k, n)
 
 
 def lucas(n: int, x, s):

@@ -47,15 +47,14 @@ def hankel_matrix(seq: Callable[[int], Scalar], shift: int, size: int) -> Square
     """N x N matrix with entry(i, j) = seq(i + j + shift).
 
     The shift may be negative; the sequence callback is expected to return
-    its ring's zero for negative indices.
+    its ring's zero for negative indices.  The callback is called once per
+    distinct index, 2N - 1 times in ascending order, and row i is the
+    window of N values starting at its i-th value.
     """
     if size < 0:
         raise ValueError(f"matrix size {size} must be >= 0")
-    return SquareMatrix(
-        tuple(
-            tuple(seq(i + j + shift) for j in range(size)) for i in range(size)
-        )
-    )
+    values = [seq(m) for m in range(shift, shift + 2 * size - 1)]
+    return SquareMatrix(tuple(tuple(values[i : i + size]) for i in range(size)))
 
 
 def det_fraction_free(m: SquareMatrix) -> Scalar:

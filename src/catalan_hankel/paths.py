@@ -9,14 +9,14 @@ coefficient of the k-th mixed convolution power.
 
 Enumeration is depth-first with no path storage when only the weight sum is
 needed; an explicit cap on the step count keeps the exponential walk in
-check.
+check.  The recurrence form of the weight sum has no cap.
 """
 
 from __future__ import annotations
 
 from .polyring import UniPoly
 from .report import CheckReport, equal_report
-from .families import narayana_conv
+from .families import mixed_power_series, narayana_conv
 
 DEFAULT_CAP = 22
 
@@ -121,29 +121,19 @@ def path_weight_sum(length: int, height: int, cap: int = DEFAULT_CAP) -> UniPoly
 
 
 def path_weight_sum_table(length: int, height: int) -> UniPoly:
-    """Same weight sum through the two-term height recurrence.
+    """Same weight sum through the two-term height recurrence, no cap.
 
-    Even landing height: a(n, h) = a(n-1, h-1) + a(n-1, h+1).
-    Odd landing height:  a(n, h) = a(n-1, h-1) + t * a(n-1, h+1),
-    the t marking the down step into an odd height.  Independent of the
-    enumeration above, which is what makes the agreement test meaningful.
+    Splitting off the last step gives a(L, h) = a(L-1, h-1) + w * a(L-1, h+1)
+    with w = t for an odd landing height h, else 1.  With k = h + 1 and
+    L = 2n + k - 1 that is the ballot recurrence ``narayana_conv`` runs on,
+    so the sum is read from there.  Independent of the enumeration
+    above, which is what makes the agreement test meaningful.
     """
     if length < 0 or height < 0:
         raise ValueError("length and height must be >= 0")
-    t = UniPoly((0, 1))
-    zero = UniPoly()
-    row = {0: UniPoly((1,))}
-    for _ in range(length):
-        nxt: dict[int, UniPoly] = {}
-        for h in set(k + 1 for k in row) | set(k - 1 for k in row if k > 0):
-            below = row.get(h - 1, zero)
-            above = row.get(h + 1, zero)
-            if h % 2:
-                nxt[h] = below + t * above
-            else:
-                nxt[h] = below + above
-        row = nxt
-    return row.get(height, zero)
+    if height > length or (length - height) % 2:
+        return UniPoly()
+    return narayana_conv(height + 1, (length - height) // 2)
 
 
 def check_path_weight_identity(k: int, n: int, cap: int = DEFAULT_CAP) -> CheckReport:
@@ -155,7 +145,7 @@ def check_path_weight_identity(k: int, n: int, cap: int = DEFAULT_CAP) -> CheckR
         raise ValueError(f"index n={n} must be >= 0")
     length = 2 * n + k - 1
     lhs = path_weight_sum(length, k - 1, cap)
-    rhs = narayana_conv(k, n)
+    rhs = mixed_power_series(k, n + 1).coefficient(n)
     return equal_report(
         "paths/weight-identity", {"k": k, "n": n, "length": length}, lhs, rhs
     )

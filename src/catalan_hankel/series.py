@@ -181,8 +181,9 @@ class Series:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def reciprocal(self) -> "Series":

@@ -106,21 +106,42 @@ def catalan_by_recurrence(count: int) -> list[int]:
 
 # -- Narayana polynomials by counting peaks of Dyck paths --------------------
 
+@lru_cache(maxsize=None)
+def _peaks_to_come(ups_left: int, height: int, last_up: bool) -> tuple:
+    """(exponent, count) pairs: ways to finish a Dyck path from this state,
+    by the number of peaks still to come."""
+    if ups_left == 0 and height == 0:
+        return ((0, 1),)
+    out: dict[int, int] = {}
+    if ups_left > 0:
+        out = dadd(out, dict(_peaks_to_come(ups_left - 1, height + 1, True)))
+    if height > 0:
+        rest = dict(_peaks_to_come(ups_left, height - 1, False))
+        if last_up:
+            rest = {p + 1: c for p, c in rest.items()}
+        out = dadd(out, rest)
+    return tuple(sorted(out.items()))
+
+
 def narayana_by_peaks(n: int) -> UniPoly:
-    """Sum of t^(peaks-1) over Dyck paths of semilength n; 1 for n = 0."""
+    """Sum of t^(peaks-1) over Dyck paths of semilength n; 1 for n = 0.
+
+    The walk over paths is memoized on (ups left, height, last step up), so
+    semilengths in the tens stay cheap.
+    """
     if n == 0:
         return UniPoly((1,))
-    counts: dict[int, int] = {}
+    counts = dict(_peaks_to_come(n, 0, False))
+    return UniPoly([counts.get(k + 1, 0) for k in range(max(counts))])
 
-    def walk(ups_left: int, height: int, peaks: int, last_up: bool):
-        if ups_left == 0 and height == 0:
-            counts[peaks] = counts.get(peaks, 0) + 1
-            return
-        if ups_left > 0:
-            walk(ups_left - 1, height + 1, peaks, True)
-        if height > 0:
-            walk(ups_left, height - 1, peaks + (1 if last_up else 0), False)
 
-    walk(n, 0, 0, False)
-    top = max(counts)
-    return UniPoly([counts.get(k + 1, 0) for k in range(top)])
+def mixed_powers_by_convolution(k_max: int, count: int) -> list[list]:
+    """First ``count`` coefficients of the mixed powers c0*c1*c0*... with
+    0..k_max factors, by list convolution; c0 comes from peak counting
+    and c1 = 1 + t*(c0 - 1)."""
+    c0 = [narayana_by_peaks(n) for n in range(count)]
+    c1 = c0[:1] + [UniPoly((0,) + p.coeffs) for p in c0[1:]]
+    powers = [[UniPoly((1,))] + [UniPoly()] * (count - 1)]
+    for k in range(k_max):
+        powers.append(convolve(powers[-1], c1 if k % 2 else c0))
+    return powers

@@ -1,7 +1,10 @@
+import hashlib
 import json
+from math import comb
 
 import pytest
 
+from catalan_hankel import cli
 from catalan_hankel.cli import main
 
 
@@ -152,11 +155,28 @@ def test_paths_weight_json(capsys):
 
 def test_paths_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("HANKEL_PATH_CAP", "4")
-    code, _, err = run_cli(capsys, "paths", "--length", "6", "--height", "0")
+    code, _, err = run_cli(capsys, "paths", "--length", "6", "--height", "0", "--list")
     assert code == 2
     assert "cap" in err
-    code, _, _ = run_cli(capsys, "paths", "--length", "6", "--height", "0", "--cap", "6")
+    code, _, _ = run_cli(
+        capsys, "paths", "--length", "6", "--height", "0", "--list", "--cap", "6"
+    )
     assert code == 0
+    # the cap bounds the listing only; the aggregate is a recurrence
+    code, out, _ = run_cli(capsys, "paths", "--length", "6", "--height", "0")
+    assert (code, out) == (0, "1 + 3*t + t^2\n")
+
+
+def test_paths_aggregate_has_no_cap(capsys):
+    code, out, _ = run_cli(
+        capsys, "paths", "--length", "30", "--height", "0", "--format", "json"
+    )
+    assert code == 0
+    row = json.loads(out)
+    assert row["count"] == 9694845  # catalan(15)
+    assert row["weight"][:3] == [1, 105, 3185]
+    code, out, _ = run_cli(capsys, "paths", "--length", "31", "--height", "0")
+    assert (code, out) == (0, "0\n")
 
 
 def test_usage_errors_exit_two(capsys):
@@ -166,6 +186,43 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
     assert main([]) == 2
     capsys.readouterr()
+
+
+def test_negative_n_max_exits_two(capsys):
+    code, out, err = run_cli(capsys, "seq", "--k", "2", "--n-max", "-1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "n-max" in err
+
+
+def test_unexpected_error_exits_three(capsys, monkeypatch):
+    def crash(name, seed):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "run_suite", crash)
+    code, out, err = run_cli(capsys, "verify", "--suite", "thm1")
+    assert (code, out) == (3, "")
+    assert err == "error: internal RuntimeError: boom\n"
+
+
+def test_large_power_sequence(capsys):
+    code, out, _ = run_cli(
+        capsys, "seq", "--family", "narayana-conv", "--k", "5000", "--n-max", "3",
+        "--t-eval", "1",
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        f"{n}: {5000 * comb(2 * n + 4999, n) // (n + 5000)}" for n in range(4)
+    ]
+
+
+def test_verify_default_stream_digest(capsys):
+    # the default NDJSON stream is a contract: parsers and golden files read it
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 0
+    assert out.count("\n") == 1294
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "267b50b37d71be7fbd9c80e505f66c3a1f8b69cf9a33fccd1a473871dd87a4ab"
+    )
 
 
 def test_help_exits_zero(capsys):

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from catalan_hankel import (
@@ -17,7 +19,14 @@ from catalan_hankel import (
     narayana_series_weighted,
 )
 
-from oracles import catalan_by_recurrence, convolve, list_power, narayana_by_peaks
+from catalan_hankel import families
+from oracles import (
+    catalan_by_recurrence,
+    convolve,
+    list_power,
+    mixed_powers_by_convolution,
+    narayana_by_peaks,
+)
 
 T = UniPoly((0, 1))
 
@@ -92,6 +101,45 @@ def test_mixed_powers_collapse_to_catalan_conv_at_one():
     for k in range(1, 7):
         for n in range(10):
             assert narayana_conv(k, n)(1) == catalan_conv(k, n)
+
+
+def test_narayana_conv_against_convolution_oracle():
+    powers = mixed_powers_by_convolution(12, 41)
+    for k in range(1, 13):
+        assert [narayana_conv(k, n) for n in range(41)] == powers[k], k
+    powers = mixed_powers_by_convolution(200, 9)
+    for k in (61, 200):
+        assert [narayana_conv(k, n) for n in range(9)] == powers[k], k
+
+
+def test_narayana_conv_independent_of_query_order():
+    cache = families.narayana_prefix
+    cache.cache_clear()
+    descending = [narayana_conv(5, n) for n in range(30, -1, -1)]
+    cache.cache_clear()
+    ascending = [narayana_conv(5, n) for n in range(31)]
+    assert descending[::-1] == ascending
+
+
+def test_narayana_prefix_cache_is_bounded():
+    cache = families.narayana_prefix
+    for k in range(1, 101):
+        narayana_conv(k, 3)
+        assert cache.cache_info().currsize <= families.NARAYANA_PREFIX_KS
+    assert cache.cache_info().currsize == families.NARAYANA_PREFIX_KS
+    # the newest k stays and a shorter read of it is a hit; the oldest is gone
+    info = cache.cache_info()
+    narayana_conv(100, 2)
+    assert cache.cache_info()[:2] == (info.hits + 1, info.misses)
+    narayana_conv(1, 0)
+    assert cache.cache_info().misses == info.misses + 1
+
+
+def test_mixed_power_series_at_large_power():
+    # k = 5000 used to recurse once per factor pair
+    k = 5000
+    got = [mixed_power_series(k, 4).coefficient(n)(1) for n in range(4)]
+    assert got == [k * comb(2 * n + k - 1, n) // (n + k) for n in range(4)]
 
 
 def test_narayana_conv_printed_third_power():

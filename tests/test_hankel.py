@@ -120,3 +120,20 @@ def test_family_validation():
         catalan_det(0, 0, 3)
     with pytest.raises(ValueError):
         narayana_det(2, 0, -1)
+
+
+def test_hankel_matrix_reads_each_index_once():
+    for shift in (-3, 0, 2):
+        for size in range(6):
+            calls = []
+
+            def seq(m):
+                calls.append(m)
+                return catalan_conv(3, m)
+
+            m = hankel_matrix(seq, shift, size)
+            assert calls == list(range(shift, shift + max(0, 2 * size - 1)))
+            assert m.rows == tuple(
+                tuple(catalan_conv(3, i + j + shift) for j in range(size))
+                for i in range(size)
+            )

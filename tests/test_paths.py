@@ -62,6 +62,7 @@ def test_weight_sum_recurrence_agreement():
             assert path_weight_sum(length, height) == path_weight_sum_table(
                 length, height
             )
+    assert path_weight_sum_table(3, 5) == UniPoly() == path_weight_sum(3, 5)
 
 
 def test_closed_paths_give_narayana():

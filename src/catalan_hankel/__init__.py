@@ -44,9 +44,12 @@ from .families import (
 from .hankel import (
     SquareMatrix,
     catalan_det,
+    catalan_dets,
     det_fraction_free,
     hankel_matrix,
+    leading_minors,
     narayana_det,
+    narayana_dets,
 )
 from .paths import (
     DEFAULT_CAP,
@@ -85,6 +88,7 @@ __all__ = [
     "catalan",
     "catalan_conv",
     "catalan_det",
+    "catalan_dets",
     "catalan_power_series",
     "catalan_series",
     "check_path_weight_identity",
@@ -96,11 +100,13 @@ __all__ = [
     "encode_value",
     "exact_div",
     "hankel_matrix",
+    "leading_minors",
     "lucas",
     "mixed_power_series",
     "narayana",
     "narayana_conv",
     "narayana_det",
+    "narayana_dets",
     "narayana_series",
     "narayana_series_weighted",
     "path_heights",

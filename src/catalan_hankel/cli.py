@@ -16,7 +16,7 @@ import os
 import sys
 
 from .families import CATALAN_CONV, FAMILY_KINDS, Family
-from .hankel import det_fraction_free, hankel_matrix
+from .hankel import hankel_matrix, leading_minors
 from .paths import (
     DEFAULT_CAP,
     enumerate_paths,
@@ -94,9 +94,15 @@ def _cmd_hankel(args) -> int:
             m = m.map_entries(lambda e: _maybe_eval(e, args.t_eval))
         print(json.dumps(m.to_json(), separators=(",", ":")))
         return 0
+    if args.t_eval is not None and not family.polynomial:
+        # refused before the elimination rather than after it
+        raise ValueError("--t-eval only applies to polynomial-valued output")
+    # The sizes are one contiguous range, so every determinant is a leading
+    # minor of the largest matrix, and one elimination gives them all.
+    minors = leading_minors(hankel_matrix(family.value, args.shift, sizes[-1]))
     rows = []
     for size in sizes:
-        d = det_fraction_free(hankel_matrix(family.value, args.shift, size))
+        d = minors[size]
         if family.polynomial and isinstance(d, int):
             d = UniPoly((d,))
         rows.append((size, _maybe_eval(d, args.t_eval)))

@@ -4,7 +4,9 @@ The determinant engine is one-step fraction-free elimination: every update
 ``(piv*a[r][c] - a[r][col]*a[col][c]) / prev_piv`` divides exactly in the
 coefficient ring, keeping intermediate entries as genuine minors instead of
 fractions.  No content is stripped mid-elimination, so the algorithm is
-identical over Z and Z[t].
+identical over Z and Z[t].  The pivots it meets are the leading principal
+minors, so one elimination of the largest matrix gives the determinants of
+every size of a Hankel sweep.
 """
 
 from __future__ import annotations
@@ -57,28 +59,38 @@ def hankel_matrix(seq: Callable[[int], Scalar], shift: int, size: int) -> Square
     return SquareMatrix(tuple(tuple(values[i : i + size]) for i in range(size)))
 
 
-def det_fraction_free(m: SquareMatrix) -> Scalar:
-    """Exact determinant by one-step fraction-free elimination.
+def leading_minors(m: SquareMatrix) -> list[Scalar]:
+    """Every leading principal minor [D(0), ..., D(n)] from one elimination.
 
-    The empty matrix has determinant 1.  A zero pivot is repaired by a row
-    swap (sign flip); if no nonzero pivot exists below, the determinant is
-    the ring's zero.
+    One-step fraction-free elimination keeps a[i-1][i-1], just before column
+    i-1 is pivoted, equal to the i x i leading minor of the row-permuted
+    matrix, so D(i) is read off there with the sign of the swaps so far.
+    D(0) is 1.  A zero pivot at column c is repaired by swapping in the
+    first row r below with a nonzero entry (sign flip); every D(i) with
+    c < i <= r is then the ring's zero, because the first c + 1 columns of
+    the i x i block have rank c.  If no row below has a nonzero entry, all
+    remaining minors are that zero.  Each D(i) equals, in value and type,
+    the determinant of the leading i x i block eliminated on its own.
     """
     n = m.n
-    if n == 0:
-        return 1
     a = [list(row) for row in m.rows]
+    minors: list[Scalar] = [1]
     sign = 1
     prev: Scalar = 1
-    for col in range(n - 1):
-        if not a[col][col]:
+    for col in range(n):
+        d = a[col][col]
+        if len(minors) == col + 1:
+            minors.append(-d if sign < 0 else d)
+        if not d:
             for r in range(col + 1, n):
                 if a[r][col]:
                     a[col], a[r] = a[r], a[col]
                     sign = -sign
+                    minors += [d] * (r + 1 - len(minors))  # d is the ring's zero
                     break
             else:
-                return a[col][col]  # the ring's zero
+                minors += [d] * (n + 1 - len(minors))
+                return minors
         piv = a[col][col]
         for r in range(col + 1, n):
             lead = a[r][col]
@@ -88,23 +100,48 @@ def det_fraction_free(m: SquareMatrix) -> Scalar:
                 val = piv * row_r[c] - lead * row_c[c]
                 row_r[c] = val if col == 0 else exact_div(val, prev)
         prev = piv
-    d = a[n - 1][n - 1]
-    return -d if sign < 0 else d
+    return minors
 
 
-def catalan_det(k: int, shift: int, size: int) -> int:
-    """Hankel determinant of the k-th Catalan convolution power.
+def det_fraction_free(m: SquareMatrix) -> Scalar:
+    """Exact determinant: the last of :func:`leading_minors`.
+
+    The empty matrix has determinant 1; a singular matrix gives the ring's
+    zero.
+    """
+    return leading_minors(m)[-1]
+
+
+def _check_power(k: int) -> None:
+    # Size 0 reads no entry, so the family would never see a bad k.
+    if k < 1:
+        raise ValueError(f"convolution power k={k} must be >= 1")
+
+
+def catalan_dets(k: int, shift: int, top: int) -> list[int]:
+    """Hankel determinants of sizes 0..top of the k-th Catalan convolution
+    power, all read from one elimination of the top x top matrix.  Raises
+    ValueError for k < 1 or top < 0.
 
     Entry (i, j) is catalan_conv(k, i + j + shift); negative indices give 0.
     """
-    matrix = hankel_matrix(lambda n: catalan_conv(k, n), shift, size)
-    return det_fraction_free(matrix)
+    _check_power(k)
+    return leading_minors(hankel_matrix(lambda n: catalan_conv(k, n), shift, top))
+
+
+def narayana_dets(k: int, shift: int, top: int) -> list[UniPoly]:
+    """Hankel determinants of sizes 0..top of the k-th mixed Narayana
+    convolution power, from one elimination, each as a UniPoly."""
+    _check_power(k)
+    minors = leading_minors(hankel_matrix(lambda n: narayana_conv(k, n), shift, top))
+    return [UniPoly((d,)) if isinstance(d, int) else d for d in minors]
+
+
+def catalan_det(k: int, shift: int, size: int) -> int:
+    """Hankel determinant of the k-th Catalan convolution power, size x size."""
+    return catalan_dets(k, shift, size)[-1]
 
 
 def narayana_det(k: int, shift: int, size: int) -> UniPoly:
     """Hankel determinant of the k-th mixed Narayana convolution power."""
-    matrix = hankel_matrix(lambda n: narayana_conv(k, n), shift, size)
-    d = det_fraction_free(matrix)
-    if isinstance(d, int):
-        return UniPoly((d,))
-    return d
+    return narayana_dets(k, shift, size)[-1]

@@ -2,14 +2,14 @@
 
 Deliberately naive and structurally different from the package code:
 Pascal's triangle instead of factorial formulas, dict-based polynomial
-arithmetic, cofactor expansion instead of elimination, list convolution
-instead of closed forms, and Dyck-path peak counting for the Narayana
-refinement.
+arithmetic, cofactor expansion instead of elimination, a fresh elimination
+per matrix size instead of one sweep, list convolution instead of closed
+forms, and Dyck-path peak counting for the Narayana refinement.
 """
 
 from functools import lru_cache
 
-from catalan_hankel import UniPoly
+from catalan_hankel import UniPoly, exact_div
 
 
 @lru_cache(maxsize=None)
@@ -78,6 +78,40 @@ def cofactor_det(rows):
             term = -term
         total = term if total is None else total + term
     return total
+
+
+# -- one fraction-free elimination per matrix size ---------------------------
+
+def per_size_det(rows):
+    """Determinant of one square matrix by its own one-step fraction-free
+    elimination; the result the library's single sweep must reproduce, in
+    value and type, for every leading block."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    a = [list(row) for row in rows]
+    sign = 1
+    prev = 1
+    for col in range(n - 1):
+        if not a[col][col]:
+            for r in range(col + 1, n):
+                if a[r][col]:
+                    a[col], a[r] = a[r], a[col]
+                    sign = -sign
+                    break
+            else:
+                return a[col][col]  # the ring's zero
+        piv = a[col][col]
+        for r in range(col + 1, n):
+            lead = a[r][col]
+            row_r = a[r]
+            row_c = a[col]
+            for c in range(col + 1, n):
+                val = piv * row_r[c] - lead * row_c[c]
+                row_r[c] = val if col == 0 else exact_div(val, prev)
+        prev = piv
+    d = a[n - 1][n - 1]
+    return -d if sign < 0 else d
 
 
 # -- convolution powers by repeated list convolution -------------------------

@@ -88,6 +88,55 @@ def test_hankel_range_csv(capsys):
     assert values == [1, 0, 0, -1, -1, 2, 2, -3, -3]
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("--family", "catalan-conv", "--k", "4", "--shift", "-2",
+             "--sizes", "0..60", "--format", "json"),
+            "6f35d99d15167aef23f1ef51ea4abd81d8049746427a2a95bf227b2b7d137c99",
+        ),
+        (
+            ("--family", "narayana-conv", "--k", "6", "--shift", "-2",
+             "--sizes", "0..20"),
+            "f407c17cf7cddb51ddf9b6b54a9e3d6f0054f78ab959f621002320d98392380f",
+        ),
+    ],
+)
+def test_hankel_sweep_digest(capsys, argv, digest):
+    # frozen from per-size elimination; one sweep must print the same bytes
+    code, out, _ = run_cli(capsys, "hankel", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_hankel_range_is_tail_of_full_sweep(capsys, fmt):
+    base = ("hankel", "--family", "narayana-conv", "--k", "5", "--shift", "-1",
+            "--format", fmt, "--sizes")
+    _, full, _ = run_cli(capsys, *base, "0..20")
+    code, tail, _ = run_cli(capsys, *base, "3..20")
+    assert code == 0
+    full_lines, tail_lines = full.splitlines(), tail.splitlines()
+    header = 1 if fmt == "csv" else 0
+    assert tail_lines[:header] == full_lines[:header]
+    assert tail_lines[header:] == full_lines[header + 3:]
+    assert len(tail_lines) == header + 18
+
+
+def test_hankel_t_eval_rejected_before_elimination(capsys, monkeypatch):
+    def never(m):
+        raise AssertionError("eliminated a matrix for a refused request")
+
+    monkeypatch.setattr(cli, "leading_minors", never)
+    code, out, err = run_cli(
+        capsys, "hankel", "--family", "catalan-conv", "--k", "3", "--sizes", "0..60",
+        "--t-eval", "2",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --t-eval only applies to polynomial-valued output\n"
+
+
 def test_hankel_single_size(capsys):
     code, out, _ = run_cli(
         capsys, "hankel", "--family", "narayana-conv", "--k", "4", "--sizes", "4",

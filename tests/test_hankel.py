@@ -1,18 +1,28 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catalan_hankel import (
     SquareMatrix,
     UniPoly,
     catalan_conv,
     catalan_det,
+    catalan_dets,
     det_fraction_free,
+    hankel,
     hankel_matrix,
+    leading_minors,
+    narayana_conv,
     narayana_det,
+    narayana_dets,
 )
 
-from oracles import cofactor_det
+from oracles import cofactor_det, per_size_det
+
+# Fixed-seed examples and no example database, so tier-1 replays exactly.
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
 
 def rand_int_matrix(rng, n, bound=9):
@@ -73,12 +83,18 @@ def test_det_singular_exactly_zero():
     assert det_fraction_free(m) == UniPoly()
 
 
+def leading_blocks(m):
+    return [[list(row[:i]) for row in m.rows[:i]] for i in range(m.n + 1)]
+
+
 def test_det_against_cofactor_oracle_int():
     rng = random.Random(17)
     for _ in range(120):
-        n = rng.randint(0, 5)
+        n = rng.randint(0, 6)
         m = rand_int_matrix(rng, n)
         assert det_fraction_free(m) == cofactor_det([list(r) for r in m.rows])
+        expected = [cofactor_det(block) for block in leading_blocks(m)]
+        assert leading_minors(m) == expected
 
 
 def test_det_against_cofactor_oracle_poly():
@@ -87,6 +103,8 @@ def test_det_against_cofactor_oracle_poly():
         n = rng.randint(1, 4)
         m = rand_poly_matrix(rng, n)
         assert det_fraction_free(m) == cofactor_det([list(r) for r in m.rows])
+        expected = [cofactor_det(block) for block in leading_blocks(m)]
+        assert leading_minors(m) == expected
 
 
 def test_det_commutes_with_evaluation():
@@ -120,6 +138,99 @@ def test_family_validation():
         catalan_det(0, 0, 3)
     with pytest.raises(ValueError):
         narayana_det(2, 0, -1)
+
+
+@pytest.mark.parametrize(
+    "fn, k, size",
+    [
+        (catalan_det, 0, 0),
+        (narayana_det, -3, 0),
+        (catalan_dets, 0, 0),
+        (narayana_dets, 0, 2),
+        (catalan_det, 1, -1),
+        (catalan_dets, 2, -1),
+        (narayana_dets, 1, -1),
+    ],
+)
+def test_power_and_size_checked_before_any_entry(fn, k, size):
+    # size 0 reads no entry, so k must be checked up front
+    with pytest.raises(ValueError):
+        fn(k, 0, size)
+
+
+def assert_minors_match_per_size(m):
+    minors = leading_minors(m)
+    assert len(minors) == m.n + 1
+    for i, block in enumerate(leading_blocks(m)):
+        expected = per_size_det(block)
+        assert minors[i] == expected and type(minors[i]) is type(expected), (i, m)
+
+
+def test_leading_minors_match_per_size_catalan_grid():
+    for k in range(1, 10):
+        for shift in range(-6, 3):
+            m = hankel_matrix(lambda n: catalan_conv(k, n), shift, 30)
+            assert_minors_match_per_size(m)
+            assert catalan_dets(k, shift, 30) == leading_minors(m)
+
+
+def test_leading_minors_match_per_size_narayana_grid():
+    for k in range(1, 7):
+        for shift in range(-3, 2):
+            m = hankel_matrix(lambda n: narayana_conv(k, n), shift, 9)
+            assert_minors_match_per_size(m)
+            dets = narayana_dets(k, shift, 9)
+            assert all(type(d) is UniPoly for d in dets)
+            assert dets == leading_minors(m)
+
+
+SPARSE_INT = st.one_of(st.just(0), st.just(0), st.integers(-9, 9))
+SPARSE_POLY = st.lists(st.integers(-3, 3) | st.just(0), max_size=3).map(UniPoly)
+
+
+def square(entries, n_max):
+    return st.integers(0, n_max).flatmap(
+        lambda n: st.lists(
+            st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
+        ).map(lambda rows: SquareMatrix(tuple(map(tuple, rows))))
+    )
+
+
+@PROPERTY
+@given(square(SPARSE_INT, 8))
+def test_leading_minors_match_per_size_sparse_int(m):
+    assert_minors_match_per_size(m)
+
+
+@PROPERTY
+@given(square(SPARSE_POLY, 4))
+def test_leading_minors_match_per_size_sparse_poly(m):
+    assert_minors_match_per_size(m)
+
+
+def test_swap_zeroes_the_sizes_it_skips():
+    # Column 0 has its first nonzero entry in row 3, so D(1..3) vanish.
+    m = SquareMatrix(((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0)))
+    assert leading_minors(m) == [1, 0, 0, 0, -1]
+    # No nonzero entry below: every remaining minor is the ring's zero.
+    z = UniPoly()
+    m = SquareMatrix(((UniPoly((1,)), z, z), (z, z, z), (z, z, UniPoly((2,)))))
+    assert leading_minors(m) == [1, UniPoly((1,)), z, z]
+
+
+def test_sweep_costs_one_elimination(monkeypatch):
+    calls = []
+    real_div = hankel.exact_div
+
+    def counting_div(a, b):
+        calls.append(1)
+        return real_div(a, b)
+
+    monkeypatch.setattr(hankel, "exact_div", counting_div)
+    dets = catalan_dets(4, -2, 40)
+    assert dets[:6] == [1, 0, 0, -1, -1, 2]
+    # Column c of one 40 x 40 elimination divides (39 - c)^2 entries.
+    assert 0 < len(calls) <= sum((39 - c) ** 2 for c in range(1, 39))
 
 
 def test_hankel_matrix_reads_each_index_once():

@@ -10,7 +10,6 @@ them.
 
 from .polyring import (
     ExactDivisionError,
-    Scalar,
     T,
     UniPoly,
     binomial,
@@ -22,11 +21,8 @@ from .series import (
     POLY_RING,
     Series,
     TruncationError,
-    ring_of,
 )
 from .families import (
-    CATALAN_CONV,
-    NARAYANA_CONV,
     Family,
     catalan,
     catalan_conv,
@@ -52,7 +48,6 @@ from .hankel import (
     narayana_dets,
 )
 from .paths import (
-    DEFAULT_CAP,
     EnumerationCapError,
     check_path_weight_identity,
     enumerate_paths,
@@ -61,24 +56,18 @@ from .paths import (
     path_weight_sum,
     path_weight_sum_table,
 )
-from .report import CheckReport, encode_value, render_value, summarize
-from .verify import DEFAULT_SEED, SUITES, check_reciprocal_duality, run_suite
+from .report import CheckReport, summarize
+from .verify import check_reciprocal_duality
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CATALAN_CONV",
     "CheckReport",
-    "DEFAULT_CAP",
-    "DEFAULT_SEED",
     "EnumerationCapError",
     "ExactDivisionError",
     "Family",
     "INTEGER_RING",
-    "NARAYANA_CONV",
     "POLY_RING",
-    "SUITES",
-    "Scalar",
     "Series",
     "SquareMatrix",
     "T",
@@ -97,7 +86,6 @@ __all__ = [
     "companion_poly_t",
     "det_fraction_free",
     "enumerate_paths",
-    "encode_value",
     "exact_div",
     "hankel_matrix",
     "leading_minors",
@@ -114,8 +102,5 @@ __all__ = [
     "path_weight_sum",
     "path_weight_sum_table",
     "render_poly",
-    "render_value",
-    "ring_of",
-    "run_suite",
     "summarize",
 ]

@@ -16,7 +16,7 @@ import os
 import sys
 
 from .families import CATALAN_CONV, FAMILY_KINDS, Family
-from .hankel import hankel_matrix, leading_minors
+from .hankel import catalan_dets, hankel_matrix, narayana_dets
 from .paths import (
     DEFAULT_CAP,
     enumerate_paths,
@@ -97,15 +97,10 @@ def _cmd_hankel(args) -> int:
     if args.t_eval is not None and not family.polynomial:
         # refused before the elimination rather than after it
         raise ValueError("--t-eval only applies to polynomial-valued output")
-    # The sizes are one contiguous range, so every determinant is a leading
-    # minor of the largest matrix, and one elimination gives them all.
-    minors = leading_minors(hankel_matrix(family.value, args.shift, sizes[-1]))
-    rows = []
-    for size in sizes:
-        d = minors[size]
-        if family.polynomial and isinstance(d, int):
-            d = UniPoly((d,))
-        rows.append((size, _maybe_eval(d, args.t_eval)))
+    # The sizes are one contiguous range, read from one sweep of the largest.
+    sweep = narayana_dets if family.polynomial else catalan_dets
+    dets = sweep(args.k, args.shift, sizes[-1])
+    rows = [(size, _maybe_eval(dets[size], args.t_eval)) for size in sizes]
     _emit_rows(rows, args.format)
     return 0
 

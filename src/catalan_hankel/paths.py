@@ -80,16 +80,8 @@ def path_heights(path: tuple[int, ...]) -> tuple[int, ...]:
 
 def path_weight(path: tuple[int, ...]) -> UniPoly:
     """t^(number of down steps landing at odd height)."""
-    odd_downs = 0
-    h = 0
-    for step in path:
-        if step not in (1, -1):
-            raise ValueError(f"invalid step {step!r}; steps are +1 or -1")
-        h += step
-        if h < 0:
-            raise ValueError("path dips below the axis")
-        if step < 0 and h % 2:
-            odd_downs += 1
+    heights = path_heights(path)
+    odd_downs = sum(1 for step, h in zip(path, heights) if step < 0 and h % 2)
     return UniPoly.monomial(odd_downs)
 
 

@@ -52,10 +52,6 @@ class UniPoly:
         object.__setattr__(self, "coeffs", tuple(cs))
 
     @classmethod
-    def constant(cls, c: int) -> "UniPoly":
-        return cls((c,))
-
-    @classmethod
     def monomial(cls, degree: int, c: int = 1) -> "UniPoly":
         if degree < 0:
             raise ValueError("monomial degree must be non-negative")

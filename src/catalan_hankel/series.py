@@ -55,14 +55,6 @@ INTEGER_RING = _Ring("ZZ", 0, 1, _coerce_int)
 POLY_RING = _Ring("ZZ[t]", UniPoly(), UniPoly((1,)), _coerce_poly)
 
 
-def ring_of(value) -> _Ring:
-    if isinstance(value, UniPoly):
-        return POLY_RING
-    if isinstance(value, int):
-        return INTEGER_RING
-    raise TypeError(f"{value!r} belongs to no supported coefficient ring")
-
-
 class Series:
     """Truncation-aware power series with exact coefficients."""
 

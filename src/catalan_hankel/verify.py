@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Sequence
 
-from .polyring import UniPoly, binomial
+from .polyring import T, UniPoly, binomial
 from .series import INTEGER_RING, POLY_RING, Series
 from .families import (
     catalan_conv,
@@ -33,8 +33,6 @@ from .paths import DEFAULT_CAP, check_path_weight_identity, path_weight_sum, pat
 from .report import CheckReport, equal_report
 
 DEFAULT_SEED = 7
-
-_T = UniPoly((0, 1))
 
 
 def _sign(exponent: int) -> int:
@@ -133,146 +131,68 @@ def structured_duality_reports(
 
 
 # ---------------------------------------------------------------------------
-# Backward-shift theorems.  All four share one engine: a vanishing range
-# whose matrices must carry an all-zero first row, then a shift identity
-# between the far-backward and the forward determinant.  The vanishing range
-# and the far-backward sizes are read from one sweep.
+# Backward-shift theorems.  The paper proves all four (even and odd
+# convolution powers, each over Z and over Z[t]) with one method, so one
+# checker runs them from a table: a vanishing range whose matrices must carry
+# an all-zero first row, then a shift identity between the far-backward and
+# the forward determinant.  The vanishing range and the far-backward sizes
+# are read from one sweep.
 
-def _shift_theorem_reports(
-    prefix: str,
-    dets: Callable,
-    seq: Callable[[int], object],
-    zero,
-    K: int,
-    back: int,
-    fwd: int,
-    zero_top: int,
-    offset: int,
-    sign_exp: int,
-    t_step: int,
-    params_base: dict,
-    n_max: int,
-) -> list[CheckReport]:
+SHIFT_THEOREMS: dict[str, tuple[Callable, Callable, int]] = {
+    # report-id prefix: (entry function, sweep function, odd)
+    "even-conv": (catalan_conv, catalan_dets, 0),
+    "odd-conv": (catalan_conv, catalan_dets, 1),
+    "even-conv-t": (narayana_conv, narayana_dets, 0),
+    "odd-conv-t": (narayana_conv, narayana_dets, 1),
+}
+
+
+def check_shift_theorem(name: str, k: int, m: int, n_max: int) -> list[CheckReport]:
+    """One shift theorem of :data:`SHIFT_THEOREMS` for power K = 2k - odd.
+
+    The back shift 1-k-m+odd vanishes with an all-zero first row for sizes
+    1..top, top = m+k-1-odd; then size n+top+1 at the back shift equals
+    (-1)^binom(top+1, 2) times size n at the forward shift 1-k+m, with an
+    extra factor t^(kn) over Z[t].  The odd Z[t] theorem needs m >= 1: the
+    m = 0 instance is false (the companion polynomial's top coefficient
+    only vanishes at t = 1), and the checker refuses to state it.
+    """
+    entry, dets, odd = SHIFT_THEOREMS[name]
+    if k < 1 or m < 0:
+        raise ValueError("need k >= 1 and m >= 0")
+    polynomial = dets is narayana_dets
+    if polynomial and odd and m < 1:
+        raise ValueError("the odd polynomial shift identity needs m >= 1")
+    K = 2 * k - odd
+    back = 1 - k - m + odd
+    top = m + k - 1 - odd
+    offset = top + 1
+    sign = _sign(binomial(top + 1, 2))
+    zero = UniPoly() if polynomial else 0
     reports = []
-    back_dets = dets(K, back, max(zero_top, n_max + offset))
-    first_row = [seq(back + j) for j in range(zero_top)]
-    for N in range(1, zero_top + 1):
-        params = {**params_base, "N": N}
+    back_dets = dets(K, back, max(top, n_max + offset))
+    first_row = [entry(K, back + j) for j in range(top)]
+    for N in range(1, top + 1):
+        params = {"k": k, "m": m, "N": N}
         # All-zero first row is strictly stronger than a vanishing
         # determinant, so both are asserted separately.
         reports.append(
-            equal_report(prefix + "/zero-row", params, first_row[:N], [zero] * N)
+            equal_report(name + "/zero-row", params, first_row[:N], [zero] * N)
         )
         reports.append(
-            equal_report(prefix + "/vanishing", params, back_dets[N], zero)
+            equal_report(name + "/vanishing", params, back_dets[N], zero)
         )
-    sign = _sign(sign_exp)
-    fwd_dets = dets(K, fwd, max(n_max, 0))
+    fwd_dets = dets(K, 1 - k + m, max(n_max, 0))
     for n in range(n_max + 1):
         lhs = back_dets[n + offset]
         rhs = fwd_dets[n]
-        if t_step:
-            rhs = UniPoly.monomial(t_step * n, sign) * rhs
+        if polynomial:
+            rhs = UniPoly.monomial(k * n, sign) * rhs
         else:
             rhs = sign * rhs
-        params = {**params_base, "n": n}
-        reports.append(equal_report(prefix + "/shift", params, lhs, rhs))
+        params = {"k": k, "m": m, "n": n}
+        reports.append(equal_report(name + "/shift", params, lhs, rhs))
     return reports
-
-
-def check_even_theorem(k: int, m: int, n_max: int = 6) -> list[CheckReport]:
-    """Even power 2k over Z: the back shift 1-k-m vanishes for sizes up to
-    m+k-1, then replays the forward shift 1-k+m with a binomial sign."""
-    if k < 1 or m < 0:
-        raise ValueError("need k >= 1 and m >= 0")
-    K = 2 * k
-    return _shift_theorem_reports(
-        "even-conv",
-        catalan_dets,
-        lambda i: catalan_conv(K, i),
-        0,
-        K,
-        1 - k - m,
-        1 - k + m,
-        m + k - 1,
-        m + k,
-        binomial(m + k, 2),
-        0,
-        {"k": k, "m": m},
-        n_max,
-    )
-
-
-def check_odd_theorem(k: int, m: int, n_max: int = 6) -> list[CheckReport]:
-    """Odd power 2k-1 over Z: back shift 2-k-m, vanishing up to m+k-2,
-    identity offset m+k-1, forward shift 1-k+m."""
-    if k < 1 or m < 0:
-        raise ValueError("need k >= 1 and m >= 0")
-    K = 2 * k - 1
-    return _shift_theorem_reports(
-        "odd-conv",
-        catalan_dets,
-        lambda i: catalan_conv(K, i),
-        0,
-        K,
-        2 - k - m,
-        1 - k + m,
-        m + k - 2,
-        m + k - 1,
-        binomial(m + k - 1, 2),
-        0,
-        {"k": k, "m": m},
-        n_max,
-    )
-
-
-def check_even_theorem_poly(k: int, m: int, n_max: int = 4) -> list[CheckReport]:
-    """Even power 2k over Z[t]: same shape as the integer case with an
-    extra factor t^(kn) on the forward side."""
-    if k < 1 or m < 0:
-        raise ValueError("need k >= 1 and m >= 0")
-    K = 2 * k
-    return _shift_theorem_reports(
-        "even-conv-t",
-        narayana_dets,
-        lambda i: narayana_conv(K, i),
-        UniPoly(),
-        K,
-        1 - k - m,
-        1 - k + m,
-        m + k - 1,
-        m + k,
-        binomial(m + k, 2),
-        k,
-        {"k": k, "m": m},
-        n_max,
-    )
-
-
-def check_odd_theorem_poly(k: int, m: int, n_max: int = 4) -> list[CheckReport]:
-    """Odd power 2k-1 over Z[t] with factor t^(kn).  Requires m >= 1: the
-    m = 0 instance is false (the companion polynomial's top coefficient
-    only vanishes at t = 1), and the checker refuses to state it."""
-    if k < 1:
-        raise ValueError("need k >= 1")
-    if m < 1:
-        raise ValueError("the odd polynomial shift identity needs m >= 1")
-    K = 2 * k - 1
-    return _shift_theorem_reports(
-        "odd-conv-t",
-        narayana_dets,
-        lambda i: narayana_conv(K, i),
-        UniPoly(),
-        K,
-        2 - k - m,
-        1 - k + m,
-        m + k - 2,
-        m + k - 1,
-        binomial(m + k - 1, 2),
-        k,
-        {"k": k, "m": m},
-        n_max,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -318,34 +238,27 @@ def check_odd_support(k: int, size_max: int = 24) -> list[CheckReport]:
         raise ValueError("need k >= 1")
     K = 2 * k + 1
     reports = []
-    at_minus_k = catalan_dets(K, -k, size_max)
-    at_one_minus_k = catalan_dets(K, 1 - k, size_max)
+    sweeps = [
+        (shift, second, catalan_dets(K, shift, size_max))
+        for shift, second in ((-k, k + 1), (1 - k, k))
+    ]
     for N in range(size_max + 1):
         q, r = divmod(N, K)
-        d = at_minus_k[N]
-        if r == 0:
-            expected = _sign(k * q)
-        elif r == k + 1:
-            expected = _sign(k * q + binomial(k + 1, 2))
-        else:
-            expected = 0
-        reports.append(
-            equal_report(
-                "odd-conv/support", {"k": k, "shift": -k, "N": N}, d, expected
+        for shift, second, dets in sweeps:
+            if r == 0:
+                expected = _sign(k * q)
+            elif r == second:
+                expected = _sign(k * q + binomial(second, 2))
+            else:
+                expected = 0
+            reports.append(
+                equal_report(
+                    "odd-conv/support",
+                    {"k": k, "shift": shift, "N": N},
+                    dets[N],
+                    expected,
+                )
             )
-        )
-        d = at_one_minus_k[N]
-        if r == 0:
-            expected = _sign(k * q)
-        elif r == k:
-            expected = _sign(k * q + binomial(k, 2))
-        else:
-            expected = 0
-        reports.append(
-            equal_report(
-                "odd-conv/support", {"k": k, "shift": 1 - k, "N": N}, d, expected
-            )
-        )
     return reports
 
 
@@ -504,14 +417,14 @@ def check_series_identities(
             "identity/narayana-affine",
             {},
             c1,
-            (c0 * _T) + Series.from_polynomial(POLY_RING, [UniPoly((1, -1))], order),
+            (c0 * T) + Series.from_polynomial(POLY_RING, [UniPoly((1, -1))], order),
         )
     )
     reports.append(
         _series_eq(
             "identity/narayana-quadratic",
             {"which": "weighted"},
-            (c0 * c1 * _T).shift(1) + 1,
+            (c0 * c1 * T).shift(1) + 1,
             c1,
         )
     )
@@ -540,7 +453,7 @@ def check_series_identities(
                 {"k": k},
                 mixed_power_series(2 * k, order),
                 mixed_power_series(2 * k - 1, order)
-                + (mixed_power_series(2 * k + 1, order) * _T).shift(1),
+                + (mixed_power_series(2 * k + 1, order) * T).shift(1),
             )
         )
 
@@ -554,7 +467,7 @@ def check_series_identities(
                     "identity/conv-recurrence",
                     {"parity": "even", "k": k, "n": n},
                     conv[2 * k](n),
-                    conv[2 * k - 1](n) + _T * conv[2 * k + 1](n - 1),
+                    conv[2 * k - 1](n) + T * conv[2 * k + 1](n - 1),
                 )
             )
             reports.append(
@@ -592,7 +505,7 @@ def check_series_identities(
         _series_eq(
             "identity/companion-base",
             {},
-            c0.reciprocal() + (c0 * _T).shift(1),
+            c0.reciprocal() + (c0 * T).shift(1),
             Series.from_polynomial(
                 POLY_RING, [UniPoly((1,)), UniPoly((-1, 1))], order
             ),
@@ -663,36 +576,18 @@ def suite_lemma(seed: int = DEFAULT_SEED) -> list[CheckReport]:
     return random_duality_reports(seed=seed) + structured_duality_reports()
 
 
-def suite_thm1(seed: int = DEFAULT_SEED) -> list[CheckReport]:
-    reports = []
-    for k in range(1, 5):
-        for m in range(4):
-            reports.extend(check_even_theorem(k, m, n_max=6))
-    return reports
+def _theorem_suite(name: str, ks: range, ms: range, n_max: int) -> Callable:
+    """The suite of one shift theorem over the grid ks x ms.  The theorems
+    have no random instances, so the suite takes ``seed`` and ignores it."""
 
+    def suite(seed: int = DEFAULT_SEED) -> list[CheckReport]:
+        reports = []
+        for k in ks:
+            for m in ms:
+                reports.extend(check_shift_theorem(name, k, m, n_max))
+        return reports
 
-def suite_thm2(seed: int = DEFAULT_SEED) -> list[CheckReport]:
-    reports = []
-    for k in range(1, 5):
-        for m in range(4):
-            reports.extend(check_odd_theorem(k, m, n_max=6))
-    return reports
-
-
-def suite_thm3(seed: int = DEFAULT_SEED) -> list[CheckReport]:
-    reports = []
-    for k in range(1, 4):
-        for m in range(3):
-            reports.extend(check_even_theorem_poly(k, m, n_max=4))
-    return reports
-
-
-def suite_thm4(seed: int = DEFAULT_SEED) -> list[CheckReport]:
-    reports = []
-    for k in range(1, 4):
-        for m in range(1, 3):
-            reports.extend(check_odd_theorem_poly(k, m, n_max=4))
-    return reports
+    return suite
 
 
 def suite_corollaries(seed: int = DEFAULT_SEED) -> list[CheckReport]:
@@ -719,16 +614,16 @@ def suite_prop1(seed: int = DEFAULT_SEED) -> list[CheckReport]:
 
 SUITES: dict[str, Callable[..., list[CheckReport]]] = {
     "lemma": suite_lemma,
-    "thm1": suite_thm1,
-    "thm2": suite_thm2,
-    "thm3": suite_thm3,
-    "thm4": suite_thm4,
+    "thm1": _theorem_suite("even-conv", range(1, 5), range(4), n_max=6),
+    "thm2": _theorem_suite("odd-conv", range(1, 5), range(4), n_max=6),
+    "thm3": _theorem_suite("even-conv-t", range(1, 4), range(3), n_max=4),
+    "thm4": _theorem_suite("odd-conv-t", range(1, 4), range(1, 3), n_max=4),
     "corollaries": suite_corollaries,
     "identities": suite_identities,
     "prop1": suite_prop1,
 }
 
-SUITE_ORDER = ("lemma", "thm1", "thm2", "thm3", "thm4", "corollaries", "identities", "prop1")
+SUITE_ORDER = tuple(SUITES)
 
 
 def run_suite(name: str, seed: int = DEFAULT_SEED) -> list[CheckReport]:

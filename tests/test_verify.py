@@ -6,15 +6,12 @@ from catalan_hankel.verify import (
     check_cubic_closed_form,
     check_even_support,
     check_even_support_poly,
-    check_even_theorem,
-    check_even_theorem_poly,
     check_narayana_unit,
     check_odd_support,
-    check_odd_theorem,
-    check_odd_theorem_poly,
     check_quartic_closed_form,
     check_reciprocal_duality,
     check_series_identities,
+    check_shift_theorem,
     check_unit_determinants,
     path_weight_reports,
     random_duality_reports,
@@ -62,27 +59,27 @@ def test_duality_polynomial_coefficients():
 def test_shift_theorems_small():
     for k in (1, 2):
         for m in (0, 1, 2):
-            assert_all_pass(check_even_theorem(k, m, n_max=4))
-            assert_all_pass(check_odd_theorem(k, m, n_max=4))
-            assert_all_pass(check_even_theorem_poly(k, m, n_max=3))
+            assert_all_pass(check_shift_theorem("even-conv", k, m, n_max=4))
+            assert_all_pass(check_shift_theorem("odd-conv", k, m, n_max=4))
+            assert_all_pass(check_shift_theorem("even-conv-t", k, m, n_max=3))
             if m >= 1:
-                assert_all_pass(check_odd_theorem_poly(k, m, n_max=3))
+                assert_all_pass(check_shift_theorem("odd-conv-t", k, m, n_max=3))
 
 
 def test_odd_poly_theorem_rejects_m_zero():
-    with pytest.raises(ValueError):
-        check_odd_theorem_poly(2, 0)
+    with pytest.raises(ValueError, match="needs m >= 1"):
+        check_shift_theorem("odd-conv-t", 2, 0, n_max=4)
 
 
 def test_theorem_validation():
     with pytest.raises(ValueError):
-        check_even_theorem(0, 1)
+        check_shift_theorem("even-conv", 0, 1, n_max=6)
     with pytest.raises(ValueError):
-        check_odd_theorem(1, -1)
+        check_shift_theorem("odd-conv", 1, -1, n_max=6)
 
 
 def test_zero_range_reports_include_structure():
-    reports = check_even_theorem(2, 1, n_max=0)
+    reports = check_shift_theorem("even-conv", 2, 1, n_max=0)
     kinds = {r.check for r in reports}
     assert "even-conv/zero-row" in kinds
     assert "even-conv/vanishing" in kinds
@@ -91,7 +88,7 @@ def test_zero_range_reports_include_structure():
 
 def test_duality_and_shift_theorem_overlap():
     # the same determinant facts reached by two independent routes
-    assert_all_pass(check_even_theorem(1, 1, n_max=3))
+    assert_all_pass(check_shift_theorem("even-conv", 1, 1, n_max=3))
     assert_all_pass(
         structured_duality_reports(power_max=2, shift_max=1, size_max=4)
     )

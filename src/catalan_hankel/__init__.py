@@ -26,7 +26,6 @@ from .families import (
     Family,
     catalan,
     catalan_conv,
-    catalan_power_series,
     catalan_series,
     companion_poly,
     companion_poly_t,
@@ -78,7 +77,6 @@ __all__ = [
     "catalan_conv",
     "catalan_det",
     "catalan_dets",
-    "catalan_power_series",
     "catalan_series",
     "check_path_weight_identity",
     "check_reciprocal_duality",

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 from .families import CATALAN_CONV, FAMILY_KINDS, Family
@@ -32,18 +31,12 @@ from .verify import DEFAULT_SEED, SUITE_ORDER, run_suite
 FORMATS = ("plain", "csv", "json")
 
 
-def _csv_value(v) -> str:
-    if isinstance(v, UniPoly):
-        return json.dumps(list(v.coeffs), separators=(",", ":"))
-    return str(v)
-
-
 def _emit_rows(rows, fmt: str) -> None:
     if fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["n", "value"])
         for n, v in rows:
-            writer.writerow([n, _csv_value(v)])
+            writer.writerow([n, json.dumps(encode_value(v), separators=(",", ":"))])
     elif fmt == "json":
         for n, v in rows:
             print(json.dumps({"n": n, "value": encode_value(v)}, separators=(",", ":")))
@@ -89,10 +82,10 @@ def _cmd_hankel(args) -> int:
     if args.matrix:
         if len(sizes) != 1:
             raise ValueError("--matrix wants exactly one size")
-        m = hankel_matrix(family.value, args.shift, sizes[0])
-        if args.t_eval is not None:
-            m = m.map_entries(lambda e: _maybe_eval(e, args.t_eval))
-        print(json.dumps(m.to_json(), separators=(",", ":")))
+        m = hankel_matrix(
+            lambda n: _maybe_eval(family.value(n), args.t_eval), args.shift, sizes[0]
+        )
+        print(json.dumps({"n": m.n, "rows": encode_value(m.rows)}, separators=(",", ":")))
         return 0
     if args.t_eval is not None and not family.polynomial:
         # refused before the elimination rather than after it
@@ -119,10 +112,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_paths(args) -> int:
     if args.list:
-        cap = args.cap
-        if cap is None:
-            cap = int(os.environ.get("HANKEL_PATH_CAP", DEFAULT_CAP))
-        for path in enumerate_paths(args.length, args.height, cap):
+        for path in enumerate_paths(args.length, args.height, args.cap):
             heights = path_heights(path)
             weight = path_weight(path)
             if args.format == "json":
@@ -206,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, required=True, help="number of steps")
     p.add_argument("--height", type=int, required=True, help="end height")
     p.add_argument(
-        "--cap", type=int, default=None,
-        help=f"--list cap on length (default {DEFAULT_CAP}, env HANKEL_PATH_CAP)",
+        "--cap", type=int, default=DEFAULT_CAP,
+        help=f"--list cap on length (default {DEFAULT_CAP})",
     )
     p.add_argument("--list", action="store_true", help="one line per path")
     p.add_argument("--format", choices=("plain", "json"), default="plain")

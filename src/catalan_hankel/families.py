@@ -71,13 +71,6 @@ def catalan_series(order: int) -> Series:
     return Series(INTEGER_RING, [catalan(n) for n in range(order)])
 
 
-def catalan_power_series(k: int, order: int) -> Series:
-    """c(x)^k as a series, for cross-checking the closed form."""
-    if k < 1:
-        raise ValueError(f"convolution power k={k} must be >= 1")
-    return catalan_series(order) ** k
-
-
 @lru_cache(maxsize=1024)
 def narayana(n: int) -> UniPoly:
     """Narayana polynomial: sum over k of C(n,k) C(n-1,k) / (k+1) * t^k."""

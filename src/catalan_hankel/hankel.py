@@ -31,19 +31,6 @@ class SquareMatrix:
     def n(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.rows[i][j]
-
-    def map_entries(self, f: Callable[[Scalar], Scalar]) -> "SquareMatrix":
-        return SquareMatrix(tuple(tuple(f(e) for e in row) for row in self.rows))
-
-    def to_json(self) -> dict:
-        rows = [
-            [list(e.coeffs) if isinstance(e, UniPoly) else e for e in row]
-            for row in self.rows
-        ]
-        return {"n": self.n, "rows": rows}
-
 
 def hankel_matrix(seq: Callable[[int], Scalar], shift: int, size: int) -> SquareMatrix:
     """N x N matrix with entry(i, j) = seq(i + j + shift).

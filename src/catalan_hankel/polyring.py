@@ -57,16 +57,6 @@ class UniPoly:
             raise ValueError("monomial degree must be non-negative")
         return cls((0,) * degree + (c,))
 
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
-
-    def coefficient(self, k: int) -> int:
-        if k < 0:
-            raise ValueError("coefficient index must be non-negative")
-        return self.coeffs[k] if k < len(self.coeffs) else 0
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -139,18 +129,6 @@ class UniPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "UniPoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial power needs a non-negative integer")
-        result = UniPoly((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def exact_div(self, other: "UniPoly") -> "UniPoly":
         """Quotient self / other when the division is exact in Z[t]."""
         o = self._coerce(other)
@@ -187,14 +165,11 @@ class UniPoly:
             acc = acc * value + c
         return acc
 
-    def render(self, var: str = "t") -> str:
-        return render_poly(self, var)
-
     def __repr__(self) -> str:
         return f"UniPoly({self.coeffs!r})"
 
     def __str__(self) -> str:
-        return self.render()
+        return render_poly(self)
 
 
 #: The generator t of Z[t].

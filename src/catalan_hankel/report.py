@@ -20,7 +20,7 @@ def encode_value(v: Any):
     if isinstance(v, UniPoly):
         return list(v.coeffs)
     if isinstance(v, Series):
-        return v.to_json()
+        return {"order": v.order, "coeffs": encode_value(v.coeffs)}
     if isinstance(v, (list, tuple)):
         return [encode_value(e) for e in v]
     return v
@@ -67,12 +67,9 @@ class CheckReport:
         )
 
 
-def equal_report(check: str, params: dict, lhs, rhs, ok: bool | None = None) -> CheckReport:
-    """Report comparing two exact values; equality decided by == unless the
-    caller already knows the verdict."""
-    if ok is None:
-        ok = lhs == rhs
-    return CheckReport(check=check, params=params, ok=bool(ok), lhs=lhs, rhs=rhs)
+def equal_report(check: str, params: dict, lhs, rhs) -> CheckReport:
+    """Report comparing two exact values; equality decided by ==."""
+    return CheckReport(check=check, params=params, ok=bool(lhs == rhs), lhs=lhs, rhs=rhs)
 
 
 def summarize(reports: Iterable[CheckReport]) -> tuple[int, int]:

@@ -98,9 +98,6 @@ class Series:
             )
         return self.coeffs[n]
 
-    def is_zero(self) -> bool:
-        return not any(map(bool, self.coeffs))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
@@ -136,14 +133,7 @@ class Series:
         return Series(self.ring, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        if isinstance(other, Series):
-            self._match(other)
-            n = min(len(self.coeffs), len(other.coeffs))
-            return Series(
-                self.ring,
-                tuple(self.coeffs[i] - other.coeffs[i] for i in range(n)),
-            )
-        return self + (-self.ring.coerce(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -205,34 +195,6 @@ class Series:
                 f"cannot extend from order {self.order} to {order}"
             )
         return Series(self.ring, self.coeffs[:order])
-
-    def zero_extended(self, order: int) -> "Series":
-        """Pad with zeros.  Only sound when the caller knows the series is
-        the polynomial spelled out by the present coefficients."""
-        if order < len(self.coeffs):
-            raise ValueError("zero_extended cannot shrink; use truncated")
-        return Series(
-            self.ring, self.coeffs + (self.ring.zero,) * (order - len(self.coeffs))
-        )
-
-    def to_json(self) -> dict:
-        coeffs = [
-            list(c.coeffs) if isinstance(c, UniPoly) else c for c in self.coeffs
-        ]
-        return {"order": self.order, "coeffs": coeffs}
-
-    @classmethod
-    def from_json(cls, obj: dict, ring: _Ring | None = None) -> "Series":
-        coeffs = obj["coeffs"]
-        if len(coeffs) != obj["order"]:
-            raise ValueError("order does not match the coefficient count")
-        if ring is None:
-            poly = any(isinstance(c, (list, tuple)) for c in coeffs)
-            ring = POLY_RING if poly else INTEGER_RING
-        vals = [
-            UniPoly(c) if isinstance(c, (list, tuple)) else c for c in coeffs
-        ]
-        return cls(ring, vals)
 
     def __repr__(self) -> str:
         return f"Series({self.ring.name}, order={self.order}, {list(self.coeffs)!r})"

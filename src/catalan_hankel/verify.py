@@ -16,8 +16,10 @@ from typing import Callable, Sequence
 from .polyring import T, UniPoly, binomial
 from .series import INTEGER_RING, POLY_RING, Series
 from .families import (
+    CATALAN_CONV,
+    NARAYANA_CONV,
+    Family,
     catalan_conv,
-    catalan_power_series,
     catalan_series,
     companion_poly,
     companion_poly_t,
@@ -119,9 +121,7 @@ def structured_duality_reports(
     for k in range(1, power_max + 1):
         for shift in range(shift_max + 1):
             for size in range(1, size_max + 1):
-                coeffs = list(
-                    catalan_power_series(k, 2 * size + shift + 1).coeffs
-                )
+                coeffs = [catalan_conv(k, n) for n in range(2 * size + shift + 1)]
                 reports.append(
                     check_reciprocal_duality(
                         coeffs, shift, size, extra={"series": f"catalan^{k}"}
@@ -138,12 +138,12 @@ def structured_duality_reports(
 # the forward determinant.  The vanishing range and the far-backward sizes
 # are read from one sweep.
 
-SHIFT_THEOREMS: dict[str, tuple[Callable, Callable, int]] = {
-    # report-id prefix: (entry function, sweep function, odd)
-    "even-conv": (catalan_conv, catalan_dets, 0),
-    "odd-conv": (catalan_conv, catalan_dets, 1),
-    "even-conv-t": (narayana_conv, narayana_dets, 0),
-    "odd-conv-t": (narayana_conv, narayana_dets, 1),
+SHIFT_THEOREMS: dict[str, tuple[str, int]] = {
+    # report-id prefix: (family kind, odd)
+    "even-conv": (CATALAN_CONV, 0),
+    "odd-conv": (CATALAN_CONV, 1),
+    "even-conv-t": (NARAYANA_CONV, 0),
+    "odd-conv-t": (NARAYANA_CONV, 1),
 }
 
 
@@ -157,13 +157,15 @@ def check_shift_theorem(name: str, k: int, m: int, n_max: int) -> list[CheckRepo
     m = 0 instance is false (the companion polynomial's top coefficient
     only vanishes at t = 1), and the checker refuses to state it.
     """
-    entry, dets, odd = SHIFT_THEOREMS[name]
+    kind, odd = SHIFT_THEOREMS[name]
     if k < 1 or m < 0:
         raise ValueError("need k >= 1 and m >= 0")
-    polynomial = dets is narayana_dets
+    K = 2 * k - odd
+    family = Family(kind, K)
+    polynomial = family.polynomial
     if polynomial and odd and m < 1:
         raise ValueError("the odd polynomial shift identity needs m >= 1")
-    K = 2 * k - odd
+    dets = narayana_dets if polynomial else catalan_dets
     back = 1 - k - m + odd
     top = m + k - 1 - odd
     offset = top + 1
@@ -171,7 +173,7 @@ def check_shift_theorem(name: str, k: int, m: int, n_max: int) -> list[CheckRepo
     zero = UniPoly() if polynomial else 0
     reports = []
     back_dets = dets(K, back, max(top, n_max + offset))
-    first_row = [entry(K, back + j) for j in range(top)]
+    first_row = [family.value(back + j) for j in range(top)]
     for N in range(1, top + 1):
         params = {"k": k, "m": m, "N": N}
         # All-zero first row is strictly stronger than a vanishing
@@ -497,7 +499,7 @@ def check_series_identities(
                 "identity/companion-reciprocal",
                 {"k": k},
                 ck.reciprocal() + tail,
-                companion_poly_t(k).zero_extended(order),
+                Series.from_polynomial(POLY_RING, companion_poly_t(k).coeffs, order),
             )
         )
 

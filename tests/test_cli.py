@@ -41,6 +41,12 @@ def test_seq_csv(capsys):
     assert lines[0] == "n,value"
     assert lines[1] == "0,[1]"
     assert lines[2] == "1,\"[1,1]\""
+    code, out, _ = run_cli(
+        capsys, "seq", "--family", "narayana-conv", "--k", "3", "--n-max", "4",
+        "--t-eval", "-1", "--format", "csv",
+    )
+    assert code == 0
+    assert out.splitlines() == ["n,value", "0,1", "1,1", "2,-1", "3,-2", "4,2"]
 
 
 def test_seq_json(capsys):
@@ -153,6 +159,26 @@ def test_hankel_matrix_output(capsys):
     )
     assert code == 0
     assert json.loads(out) == {"n": 3, "rows": [[1, 2, 5], [2, 5, 14], [5, 14, 42]]}
+    code, out, _ = run_cli(
+        capsys, "hankel", "--family", "narayana-conv", "--k", "3", "--sizes", "3",
+        "--matrix",
+    )
+    assert code == 0
+    assert out == (
+        '{"n":3,"rows":[[[1],[2,1],[3,5,1]],[[2,1],[3,5,1],[4,14,9,1]],'
+        '[[3,5,1],[4,14,9,1],[5,30,40,14,1]]]}\n'
+    )
+    code, out, _ = run_cli(
+        capsys, "hankel", "--family", "narayana-conv", "--k", "3", "--shift", "-1",
+        "--sizes", "3", "--matrix", "--t-eval", "2",
+    )
+    assert (code, out) == (0, '{"n":3,"rows":[[0,1,4],[1,4,17],[4,17,76]]}\n')
+    code, out, err = run_cli(
+        capsys, "hankel", "--family", "catalan-conv", "--k", "2", "--sizes", "3",
+        "--matrix", "--t-eval", "1",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --t-eval only applies to polynomial-valued output\n"
 
 
 def test_hankel_bad_range(capsys):
@@ -202,11 +228,15 @@ def test_paths_weight_json(capsys):
     }
 
 
-def test_paths_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("HANKEL_PATH_CAP", "4")
-    code, _, err = run_cli(capsys, "paths", "--length", "6", "--height", "0", "--list")
+def test_paths_cap_env(capsys):
+    code, _, err = run_cli(
+        capsys, "paths", "--length", "6", "--height", "0", "--list", "--cap", "4"
+    )
     assert code == 2
     assert "cap" in err
+    code, _, err = run_cli(capsys, "paths", "--length", "24", "--height", "0", "--list")
+    assert code == 2
+    assert "cap 22" in err
     code, _, _ = run_cli(
         capsys, "paths", "--length", "6", "--height", "0", "--list", "--cap", "6"
     )

@@ -7,7 +7,6 @@ from catalan_hankel import (
     UniPoly,
     catalan,
     catalan_conv,
-    catalan_power_series,
     catalan_series,
     companion_poly,
     companion_poly_t,
@@ -47,7 +46,7 @@ def test_catalan_conv_closed_form_against_convolution():
 
 
 def test_catalan_power_series_matches_closed_form():
-    s = catalan_power_series(4, 10)
+    s = catalan_series(10) ** 4
     assert list(s.coeffs) == [catalan_conv(4, n) for n in range(10)]
 
 

@@ -1,10 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catalan_hankel import ExactDivisionError, T, UniPoly, binomial, exact_div, render_poly
 
 from oracles import dadd, dmul, dpoly, dpoly_to_tuple, pascal_binomial
+
+
+# Fixed-seed examples and no example database, so tier-1 replays exactly.
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+polys = st.lists(st.integers(-50, 50), max_size=7).map(UniPoly)
 
 
 def rand_poly(rng, max_deg=6, bound=9):
@@ -16,17 +23,6 @@ def test_canonical_trim():
     assert UniPoly((0, 0)).coeffs == ()
     assert not UniPoly(())
     assert UniPoly((0, 1)) == T
-
-
-def test_degree_and_coefficient():
-    p = UniPoly((1, 0, -3))
-    assert p.degree == 2
-    assert UniPoly().degree == -1
-    assert p.coefficient(1) == 0
-    assert p.coefficient(2) == -3
-    assert p.coefficient(99) == 0
-    with pytest.raises(ValueError):
-        p.coefficient(-1)
 
 
 def test_add_matches_coefficientwise_oracle():
@@ -58,27 +54,30 @@ def test_int_interop():
     assert hash(UniPoly((5,))) == hash(5)
 
 
-def test_pow():
-    assert (1 + T) ** 2 == UniPoly((1, 2, 1))
-    assert (1 + T) ** 0 == UniPoly((1,))
-    assert UniPoly() ** 3 == UniPoly()
-    with pytest.raises(ValueError):
-        (1 + T) ** -1
-
-
 def test_exact_div_examples():
-    num = (1 + T) ** 2 * (1 - T)
+    num = (1 + T) * (1 + T) * (1 - T)
     assert num.exact_div(1 + T) == (1 + T) * (1 - T)
     assert exact_div(UniPoly((0, 0, 2)), UniPoly((0, 2))) == T
 
 
-def test_exact_div_round_trip():
-    rng = random.Random(13)
-    for _ in range(200):
-        a, b = rand_poly(rng), rand_poly(rng)
-        if not b:
-            continue
-        assert (a * b).exact_div(b) == a
+@PROPERTY
+@given(polys, polys.filter(bool))
+def test_exact_div_round_trip(a, b):
+    assert (a * b).exact_div(b) == a
+    assert exact_div(a * b, b) == a
+
+
+@PROPERTY
+@given(polys, polys, polys, st.integers(-50, 50))
+def test_ring_axioms(a, b, c, n):
+    zero, one = UniPoly(), UniPoly((1,))
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and a * zero == zero
+    assert a - a == zero and a - b == a + (-b)
+    assert a + n == a + UniPoly((n,)) and a * n == a * UniPoly((n,))
 
 
 def test_exact_div_failures():

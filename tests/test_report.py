@@ -1,4 +1,4 @@
-from catalan_hankel import CheckReport, Series, INTEGER_RING, UniPoly, summarize
+from catalan_hankel import CheckReport, Series, INTEGER_RING, POLY_RING, UniPoly, summarize
 from catalan_hankel.report import encode_value, equal_report, render_value
 
 
@@ -7,8 +7,6 @@ def test_equal_report_decides():
     bad = equal_report("demo", {"n": 2}, 5, -5)
     assert good.ok and good.status == "pass"
     assert not bad.ok and bad.status == "fail"
-    forced = equal_report("demo", {}, 1, 1, ok=False)
-    assert not forced.ok
 
 
 def test_report_json_shape():
@@ -28,6 +26,9 @@ def test_encode_value_forms():
     assert encode_value([1, UniPoly((2,))]) == [1, [2]]
     s = Series(INTEGER_RING, [1, 2])
     assert encode_value(s) == {"order": 2, "coeffs": [1, 2]}
+    p = Series(POLY_RING, [UniPoly((1,)), UniPoly((0, 1))])
+    assert encode_value(p) == {"order": 2, "coeffs": [[1], [0, 1]]}
+    assert encode_value(Series(INTEGER_RING, [])) == {"order": 0, "coeffs": []}
 
 
 def test_render_value_forms():

@@ -1,6 +1,6 @@
 import pytest
 
-from catalan_hankel import UniPoly, catalan_power_series, summarize
+from catalan_hankel import UniPoly, catalan, families, summarize
 from catalan_hankel.verify import (
     COMPANION_T_TABLE,
     check_cubic_closed_form,
@@ -18,6 +18,8 @@ from catalan_hankel.verify import (
     run_suite,
     structured_duality_reports,
 )
+
+from oracles import list_power
 
 
 def assert_all_pass(reports):
@@ -64,6 +66,31 @@ def test_shift_theorems_small():
             assert_all_pass(check_shift_theorem("even-conv-t", k, m, n_max=3))
             if m >= 1:
                 assert_all_pass(check_shift_theorem("odd-conv-t", k, m, n_max=3))
+
+
+@pytest.mark.parametrize(
+    "name, fn, odd",
+    [
+        ("even-conv", "catalan_conv", 0),
+        ("odd-conv", "catalan_conv", 1),
+        ("even-conv-t", "narayana_conv", 0),
+        ("odd-conv-t", "narayana_conv", 1),
+    ],
+)
+def test_shift_theorem_reads_first_row_through_families(monkeypatch, name, fn, odd):
+    # wrappers on the families module (as a tracer installs them) see every read
+    reads = []
+    orig = getattr(families, fn)
+
+    def counting(k, n):
+        reads.append((k, n))
+        return orig(k, n)
+
+    monkeypatch.setattr(families, fn, counting)
+    k, m = 2, 2
+    assert_all_pass(check_shift_theorem(name, k, m, n_max=1))
+    back, top = 1 - k - m + odd, m + k - 1 - odd
+    assert {(2 * k - odd, back + j) for j in range(top)} <= set(reads)
 
 
 def test_odd_poly_theorem_rejects_m_zero():
@@ -144,6 +171,8 @@ def test_run_suite_seed_changes_random_cases():
 
 
 def test_structured_duality_uses_catalan_powers():
-    reports = structured_duality_reports(power_max=1, shift_max=0, size_max=2)
-    coeffs = reports[-1].params["s"]
-    assert coeffs == list(catalan_power_series(1, len(coeffs)).coeffs)
+    reports = structured_duality_reports(power_max=2, shift_max=0, size_max=2)
+    last = reports[-1]
+    assert last.params["series"] == "catalan^2"
+    coeffs = last.params["s"]
+    assert coeffs == list_power([catalan(n) for n in range(len(coeffs))], 2)

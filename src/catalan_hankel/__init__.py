@@ -9,6 +9,8 @@ them.
 """
 
 from .polyring import (
+    INTEGER_RING,
+    POLY_RING,
     ExactDivisionError,
     T,
     UniPoly,
@@ -16,12 +18,7 @@ from .polyring import (
     exact_div,
     render_poly,
 )
-from .series import (
-    INTEGER_RING,
-    POLY_RING,
-    Series,
-    TruncationError,
-)
+from .series import Series, TruncationError
 from .families import (
     Family,
     catalan,

@@ -14,8 +14,8 @@ import csv
 import json
 import sys
 
-from .families import CATALAN_CONV, FAMILY_KINDS, Family
-from .hankel import catalan_dets, hankel_matrix, narayana_dets
+from .families import CATALAN_CONV, FAMILY_KINDS, NARAYANA_CONV, Family
+from .hankel import family_dets, hankel_matrix
 from .paths import (
     DEFAULT_CAP,
     enumerate_paths,
@@ -23,12 +23,31 @@ from .paths import (
     path_weight,
     path_weight_sum_table,
 )
-from .polyring import ExactDivisionError, UniPoly
+from .polyring import INTEGER_RING, ExactDivisionError, UniPoly
 from .report import encode_value, render_value, summarize
 from .series import TruncationError
 from .verify import DEFAULT_SEED, SUITE_ORDER, run_suite
 
 FORMATS = ("plain", "csv", "json")
+
+#: The largest accepted value of each size option, per family and for
+#: ``paths``, checked before any work starts.  A request with one option at
+#: its limit and the others small takes at most about ten seconds (CPython
+#: 3.11, x86-64 server); several options near their limits at once can take
+#: longer.  Negative shifts read only zero entries and need no limit.
+LIMITS = {
+    CATALAN_CONV: {"k": 100_000, "n_max": 4000, "shift": 200_000, "sizes": 250},
+    NARAYANA_CONV: {"k": 100_000, "n_max": 500, "shift": 500, "sizes": 30},
+    "paths": {"length": 1000, "cap": 24},
+}
+
+
+def _check_limits(group: str, **values: int) -> None:
+    for name, value in values.items():
+        limit = LIMITS[group][name]
+        if value > limit:
+            option = "--" + name.replace("_", "-")
+            raise ValueError(f"{option} {value} is over the {group} limit {limit}")
 
 
 def _emit_rows(rows, fmt: str) -> None:
@@ -64,6 +83,7 @@ def _parse_sizes(text: str) -> list[int]:
 
 
 def _cmd_seq(args) -> int:
+    _check_limits(args.family, k=args.k, n_max=args.n_max)
     if args.n_max < 0:
         raise ValueError(f"--n-max {args.n_max} must be >= 0")
     family = Family(args.family, args.k)
@@ -77,22 +97,21 @@ def _cmd_seq(args) -> int:
 def _cmd_hankel(args) -> int:
     family = Family(args.family, args.k)
     sizes = _parse_sizes(args.sizes)
+    _check_limits(args.family, k=args.k, shift=args.shift, sizes=sizes[-1])
     if any(s < 0 for s in sizes):
         raise ValueError("matrix sizes must be >= 0")
     if args.matrix:
         if len(sizes) != 1:
             raise ValueError("--matrix wants exactly one size")
-        m = hankel_matrix(
-            lambda n: _maybe_eval(family.value(n), args.t_eval), args.shift, sizes[0]
-        )
-        print(json.dumps({"n": m.n, "rows": encode_value(m.rows)}, separators=(",", ":")))
+        m = hankel_matrix(family.ring, family.value, args.shift, sizes[0])
+        rows = [[_maybe_eval(v, args.t_eval) for v in row] for row in m.rows]
+        print(json.dumps({"n": m.n, "rows": encode_value(rows)}, separators=(",", ":")))
         return 0
-    if args.t_eval is not None and not family.polynomial:
+    if args.t_eval is not None and family.ring is INTEGER_RING:
         # refused before the elimination rather than after it
         raise ValueError("--t-eval only applies to polynomial-valued output")
     # The sizes are one contiguous range, read from one sweep of the largest.
-    sweep = narayana_dets if family.polynomial else catalan_dets
-    dets = sweep(args.k, args.shift, sizes[-1])
+    dets = family_dets(family, args.shift, sizes[-1])
     rows = [(size, _maybe_eval(dets[size], args.t_eval)) for size in sizes]
     _emit_rows(rows, args.format)
     return 0
@@ -111,6 +130,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_paths(args) -> int:
+    _check_limits("paths", length=args.length, cap=args.cap)
     if args.list:
         for path in enumerate_paths(args.length, args.height, args.cap):
             heights = path_heights(path)
@@ -212,6 +232,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
+    # Exact values can have more digits than the default int-to-str limit
+    # (4300 digits since Python 3.10.7), which would fail a valid request.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except (ValueError, TruncationError, ExactDivisionError) as e:
@@ -221,6 +246,9 @@ def main(argv=None) -> int:
         # Exit 1 is reserved for failed checks, so a crash gets its own code.
         print(f"error: internal {type(e).__name__}: {e}", file=sys.stderr)
         return 3
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 def run() -> None:

@@ -47,8 +47,8 @@ from functools import lru_cache
 from math import comb
 from typing import Callable
 
-from .polyring import UniPoly
-from .series import INTEGER_RING, POLY_RING, Series
+from .polyring import INTEGER_RING, POLY_RING, UniPoly, _Ring
+from .series import Series
 
 
 def catalan(n: int) -> int:
@@ -265,8 +265,9 @@ class Family:
             raise ValueError(f"convolution power k={self.k} must be >= 1")
 
     @property
-    def polynomial(self) -> bool:
-        return self.kind == NARAYANA_CONV
+    def ring(self) -> _Ring:
+        """Z for the Catalan powers, Z[t] for the Narayana ones."""
+        return POLY_RING if self.kind == NARAYANA_CONV else INTEGER_RING
 
     def value(self, n: int):
         if self.kind == CATALAN_CONV:

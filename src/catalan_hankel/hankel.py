@@ -14,12 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .polyring import Scalar, UniPoly, exact_div
-from .families import catalan_conv, narayana_conv
+from .polyring import Scalar, UniPoly, _Ring, exact_div
+from .families import CATALAN_CONV, NARAYANA_CONV, Family
 
 
 @dataclass(frozen=True)
 class SquareMatrix:
+    """A square matrix over a coefficient ring."""
+
+    ring: _Ring
     rows: tuple[tuple[Scalar, ...], ...]
 
     def __post_init__(self):
@@ -32,8 +35,10 @@ class SquareMatrix:
         return len(self.rows)
 
 
-def hankel_matrix(seq: Callable[[int], Scalar], shift: int, size: int) -> SquareMatrix:
-    """N x N matrix with entry(i, j) = seq(i + j + shift).
+def hankel_matrix(
+    ring: _Ring, seq: Callable[[int], Scalar], shift: int, size: int
+) -> SquareMatrix:
+    """N x N matrix over ``ring`` with entry(i, j) = seq(i + j + shift).
 
     The shift may be negative; the sequence callback is expected to return
     its ring's zero for negative indices.  The callback is called once per
@@ -43,7 +48,7 @@ def hankel_matrix(seq: Callable[[int], Scalar], shift: int, size: int) -> Square
     if size < 0:
         raise ValueError(f"matrix size {size} must be >= 0")
     values = [seq(m) for m in range(shift, shift + 2 * size - 1)]
-    return SquareMatrix(tuple(tuple(values[i : i + size]) for i in range(size)))
+    return SquareMatrix(ring, tuple(tuple(values[i : i + size]) for i in range(size)))
 
 
 def leading_minors(m: SquareMatrix) -> list[Scalar]:
@@ -52,18 +57,19 @@ def leading_minors(m: SquareMatrix) -> list[Scalar]:
     One-step fraction-free elimination keeps a[i-1][i-1], just before column
     i-1 is pivoted, equal to the i x i leading minor of the row-permuted
     matrix, so D(i) is read off there with the sign of the swaps so far.
-    D(0) is 1.  A zero pivot at column c is repaired by swapping in the
-    first row r below with a nonzero entry (sign flip); every D(i) with
-    c < i <= r is then the ring's zero, because the first c + 1 columns of
-    the i x i block have rank c.  If no row below has a nonzero entry, all
-    remaining minors are that zero.  Each D(i) equals, in value and type,
-    the determinant of the leading i x i block eliminated on its own.
+    D(0) is the ring's one.  A zero pivot at column c is repaired by
+    swapping in the first row r below with a nonzero entry (sign flip);
+    every D(i) with c < i <= r is then the ring's zero, because the first
+    c + 1 columns of the i x i block have rank c.  If no row below has a
+    nonzero entry, all remaining minors are that zero.  Each D(i) equals,
+    in value and type, the determinant of the leading i x i block
+    eliminated on its own.
     """
     n = m.n
     a = [list(row) for row in m.rows]
-    minors: list[Scalar] = [1]
+    minors: list[Scalar] = [m.ring.one]
     sign = 1
-    prev: Scalar = 1
+    prev = m.ring.one
     for col in range(n):
         d = a[col][col]
         if len(minors) == col + 1:
@@ -93,35 +99,32 @@ def leading_minors(m: SquareMatrix) -> list[Scalar]:
 def det_fraction_free(m: SquareMatrix) -> Scalar:
     """Exact determinant: the last of :func:`leading_minors`.
 
-    The empty matrix has determinant 1; a singular matrix gives the ring's
-    zero.
+    The empty matrix has determinant the ring's one; a singular matrix
+    gives the ring's zero.
     """
     return leading_minors(m)[-1]
 
 
-def _check_power(k: int) -> None:
-    # Size 0 reads no entry, so the family would never see a bad k.
-    if k < 1:
-        raise ValueError(f"convolution power k={k} must be >= 1")
+def family_dets(family: Family, shift: int, top: int) -> list[Scalar]:
+    """Hankel determinants of sizes 0..top of one convolution family, each
+    in the family's ring, all read from one elimination of the top x top
+    matrix.  Raises ValueError for top < 0.
+
+    Entry (i, j) is family.value(i + j + shift); negative indices give zero.
+    """
+    return leading_minors(hankel_matrix(family.ring, family.value, shift, top))
 
 
 def catalan_dets(k: int, shift: int, top: int) -> list[int]:
     """Hankel determinants of sizes 0..top of the k-th Catalan convolution
-    power, all read from one elimination of the top x top matrix.  Raises
-    ValueError for k < 1 or top < 0.
-
-    Entry (i, j) is catalan_conv(k, i + j + shift); negative indices give 0.
-    """
-    _check_power(k)
-    return leading_minors(hankel_matrix(lambda n: catalan_conv(k, n), shift, top))
+    power, from one sweep.  Raises ValueError for k < 1 or top < 0."""
+    return family_dets(Family(CATALAN_CONV, k), shift, top)
 
 
 def narayana_dets(k: int, shift: int, top: int) -> list[UniPoly]:
     """Hankel determinants of sizes 0..top of the k-th mixed Narayana
-    convolution power, from one elimination, each as a UniPoly."""
-    _check_power(k)
-    minors = leading_minors(hankel_matrix(lambda n: narayana_conv(k, n), shift, top))
-    return [UniPoly((d,)) if isinstance(d, int) else d for d in minors]
+    convolution power, from one sweep, each as a UniPoly."""
+    return family_dets(Family(NARAYANA_CONV, k), shift, top)
 
 
 def catalan_det(k: int, shift: int, size: int) -> int:

@@ -2,13 +2,16 @@
 
 Integers are plain Python ``int`` (arbitrary precision).  Polynomials in the
 weight variable t are dense integer-coefficient :class:`UniPoly` values.
-Both rings share :func:`exact_div`, the division used by fraction-free
+``INTEGER_RING`` and ``POLY_RING`` describe the two rings (zero, one and
+scalar coercion) for the series and matrices built over them.  Both rings
+share :func:`exact_div`, the division used by fraction-free
 elimination: it must be exact and raises :class:`ExactDivisionError` when a
 remainder survives.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Union
 
@@ -176,6 +179,27 @@ class UniPoly:
 T = UniPoly((0, 1))
 
 
+@dataclass(frozen=True)
+class _Ring:
+    """Coefficient ring descriptor: zero, one, and scalar coercion."""
+
+    name: str
+    zero: Scalar
+    one: Scalar
+
+    def coerce(self, value) -> Scalar:
+        """The value as a scalar of this ring; an int is a constant of Z[t]."""
+        if isinstance(value, type(self.one)):
+            return value
+        if isinstance(value, int):  # so this ring is Z[t]
+            return UniPoly((value,))
+        raise TypeError(f"{value!r} is not a scalar of {self.name}")
+
+
+INTEGER_RING = _Ring("ZZ", 0, 1)
+POLY_RING = _Ring("ZZ[t]", UniPoly(), UniPoly((1,)))
+
+
 def render_poly(p: UniPoly, var: str = "t") -> str:
     """Human form, ascending powers, explicit signs: ``1 - 3*t + t^2``."""
     if not p.coeffs:
@@ -204,9 +228,7 @@ def exact_div(a: Scalar, b: Scalar) -> Scalar:
     ExactDivisionError when the quotient would not be exact.
     """
     if isinstance(a, UniPoly) or isinstance(b, UniPoly):
-        pa = a if isinstance(a, UniPoly) else UniPoly((a,))
-        pb = b if isinstance(b, UniPoly) else UniPoly((b,))
-        return pa.exact_div(pb)
+        return UniPoly._coerce(a).exact_div(b)
     if b == 0:
         raise ZeroDivisionError("exact division by zero")
     q, r = divmod(a, b)

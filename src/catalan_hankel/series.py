@@ -10,49 +10,13 @@ determined), and reading past the truncation raises
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .polyring import Scalar, UniPoly
+from .polyring import Scalar, _Ring
 
 
 class TruncationError(IndexError):
     """A coefficient beyond the known truncation order was requested."""
-
-
-class _Ring:
-    """Coefficient ring descriptor: zero, one, and scalar coercion."""
-
-    __slots__ = ("name", "zero", "one", "_coerce")
-
-    def __init__(self, name: str, zero, one, coerce: Callable):
-        self.name = name
-        self.zero = zero
-        self.one = one
-        self._coerce = coerce
-
-    def coerce(self, value) -> Scalar:
-        return self._coerce(self, value)
-
-    def __repr__(self) -> str:
-        return f"<ring {self.name}>"
-
-
-def _coerce_int(ring, value):
-    if isinstance(value, int):
-        return value
-    raise TypeError(f"{value!r} is not a scalar of {ring.name}")
-
-
-def _coerce_poly(ring, value):
-    if isinstance(value, UniPoly):
-        return value
-    if isinstance(value, int):
-        return UniPoly((value,))
-    raise TypeError(f"{value!r} is not a scalar of {ring.name}")
-
-
-INTEGER_RING = _Ring("ZZ", 0, 1, _coerce_int)
-POLY_RING = _Ring("ZZ[t]", UniPoly(), UniPoly((1,)), _coerce_poly)
 
 
 class Series:

@@ -13,8 +13,8 @@ from __future__ import annotations
 import random
 from typing import Callable, Sequence
 
-from .polyring import T, UniPoly, binomial
-from .series import INTEGER_RING, POLY_RING, Series
+from .polyring import INTEGER_RING, POLY_RING, T, UniPoly, binomial
+from .series import Series
 from .families import (
     CATALAN_CONV,
     NARAYANA_CONV,
@@ -30,7 +30,7 @@ from .families import (
     narayana_series,
     narayana_series_weighted,
 )
-from .hankel import catalan_dets, det_fraction_free, hankel_matrix, narayana_dets
+from .hankel import det_fraction_free, family_dets, hankel_matrix
 from .paths import DEFAULT_CAP, check_path_weight_identity, path_weight_sum, path_weight_sum_table
 from .report import CheckReport, equal_report
 
@@ -39,11 +39,6 @@ DEFAULT_SEED = 7
 
 def _sign(exponent: int) -> int:
     return -1 if exponent % 2 else 1
-
-
-def _series_eq(check: str, params: dict, lhs: Series, rhs: Series) -> CheckReport:
-    n = min(lhs.order, rhs.order)
-    return equal_report(check, params, lhs.truncated(n), rhs.truncated(n))
 
 
 # ---------------------------------------------------------------------------
@@ -65,24 +60,14 @@ def check_reciprocal_duality(
         raise ValueError(f"shift M={shift} must be >= 0")
     if size < 1:
         raise ValueError(f"size N={size} must be >= 1")
-    ring = (
-        POLY_RING
-        if any(isinstance(c, UniPoly) for c in s_coeffs)
-        else INTEGER_RING
-    )
+    ring = POLY_RING if any(isinstance(c, UniPoly) for c in s_coeffs) else INTEGER_RING
     coeffs = [ring.coerce(c) for c in s_coeffs]
-    if coeffs[0] != ring.one:
-        raise ValueError("constant coefficient must be 1")
 
     order = 2 * size + shift + 1
     s = Series.from_polynomial(ring, coeffs, max(order, len(coeffs)))
     recip = s.reciprocal()
-
-    def s_at(i: int):
-        return coeffs[i] if 0 <= i < len(coeffs) else ring.zero
-
-    lhs = det_fraction_free(hankel_matrix(s_at, -shift, size + shift + 1))
-    rhs_det = det_fraction_free(hankel_matrix(recip.coefficient, shift + 2, size))
+    lhs = det_fraction_free(hankel_matrix(ring, s.coefficient, -shift, size + shift + 1))
+    rhs_det = det_fraction_free(hankel_matrix(ring, recip.coefficient, shift + 2, size))
     rhs = _sign(size + binomial(shift + 1, 2)) * rhs_det
     params = {"shift": shift, "size": size, "s": list(coeffs)}
     if extra:
@@ -103,13 +88,8 @@ def random_duality_reports(
     for i in range(count):
         shift = rng.randint(0, shift_max)
         size = rng.randint(1, size_max)
-        coeffs = [1] + [
-            rng.randint(-coeff_bound, coeff_bound)
-            for _ in range(2 * size + shift)
-        ]
-        reports.append(
-            check_reciprocal_duality(coeffs, shift, size, extra={"index": i})
-        )
+        coeffs = [1] + [rng.randint(-coeff_bound, coeff_bound) for _ in range(2 * size + shift)]
+        reports.append(check_reciprocal_duality(coeffs, shift, size, extra={"index": i}))
     return reports
 
 
@@ -117,17 +97,15 @@ def structured_duality_reports(
     power_max: int = 4, shift_max: int = 3, size_max: int = 5
 ) -> list[CheckReport]:
     """Duality across powers of the Catalan series."""
-    reports = []
-    for k in range(1, power_max + 1):
-        for shift in range(shift_max + 1):
-            for size in range(1, size_max + 1):
-                coeffs = [catalan_conv(k, n) for n in range(2 * size + shift + 1)]
-                reports.append(
-                    check_reciprocal_duality(
-                        coeffs, shift, size, extra={"series": f"catalan^{k}"}
-                    )
-                )
-    return reports
+    return [
+        check_reciprocal_duality(
+            [catalan_conv(k, n) for n in range(2 * size + shift + 1)],
+            shift, size, extra={"series": f"catalan^{k}"},
+        )
+        for k in range(1, power_max + 1)
+        for shift in range(shift_max + 1)
+        for size in range(1, size_max + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -162,174 +140,147 @@ def check_shift_theorem(name: str, k: int, m: int, n_max: int) -> list[CheckRepo
         raise ValueError("need k >= 1 and m >= 0")
     K = 2 * k - odd
     family = Family(kind, K)
-    polynomial = family.polynomial
+    polynomial = family.ring is POLY_RING
     if polynomial and odd and m < 1:
         raise ValueError("the odd polynomial shift identity needs m >= 1")
-    dets = narayana_dets if polynomial else catalan_dets
     back = 1 - k - m + odd
     top = m + k - 1 - odd
     offset = top + 1
     sign = _sign(binomial(top + 1, 2))
-    zero = UniPoly() if polynomial else 0
+    zero = family.ring.zero
     reports = []
-    back_dets = dets(K, back, max(top, n_max + offset))
+    back_dets = family_dets(family, back, max(top, n_max + offset))
     first_row = [family.value(back + j) for j in range(top)]
     for N in range(1, top + 1):
         params = {"k": k, "m": m, "N": N}
         # All-zero first row is strictly stronger than a vanishing
         # determinant, so both are asserted separately.
-        reports.append(
-            equal_report(name + "/zero-row", params, first_row[:N], [zero] * N)
-        )
-        reports.append(
-            equal_report(name + "/vanishing", params, back_dets[N], zero)
-        )
-    fwd_dets = dets(K, 1 - k + m, max(n_max, 0))
+        reports += [
+            equal_report(name + "/zero-row", params, first_row[:N], [zero] * N),
+            equal_report(name + "/vanishing", params, back_dets[N], zero),
+        ]
+    fwd_dets = family_dets(family, 1 - k + m, max(n_max, 0))
     for n in range(n_max + 1):
-        lhs = back_dets[n + offset]
-        rhs = fwd_dets[n]
-        if polynomial:
-            rhs = UniPoly.monomial(k * n, sign) * rhs
-        else:
-            rhs = sign * rhs
-        params = {"k": k, "m": m, "n": n}
-        reports.append(equal_report(name + "/shift", params, lhs, rhs))
+        factor = UniPoly.monomial(k * n, sign) if polynomial else sign
+        lhs, rhs = back_dets[n + offset], factor * fwd_dets[n]
+        reports.append(equal_report(name + "/shift", {"k": k, "m": m, "n": n}, lhs, rhs))
     return reports
 
 
 # ---------------------------------------------------------------------------
-# Support patterns: outside sparse families of sizes these determinants
-# vanish; on the support they are signed monomials.
+# Corollaries.  Each one is a Hankel sweep of a convolution power at a
+# backward shift whose D(N) equals a closed form in N: outside sparse
+# families of sizes the determinants vanish, on the support they are signed
+# monomials or short polynomials.  A corollary is a list of rows
+# (report id, params, sweep, N, expected) with sweep = (family, shift), and
+# one loop, check_corollaries, reads them all.
 
-def check_unit_determinants(size_max: int = 12) -> list[CheckReport]:
+def check_corollaries(rows: Sequence[tuple]) -> list[CheckReport]:
+    """One report per row, in row order: D(N) of the row's sweep against its
+    expected value.  Each distinct sweep is eliminated once, at the largest
+    N its rows read, so rows of different sweeps may interleave."""
+    tops: dict = {}
+    for _, _, sweep, N, _ in rows:
+        tops[sweep] = max(N, tops.get(sweep, N))
+    dets = {sweep: family_dets(*sweep, top) for sweep, top in tops.items()}
+    return [
+        equal_report(check, params, dets[sweep][N], expected)
+        for check, params, sweep, N, expected in rows
+    ]
+
+
+def unit_det_rows(size_max: int = 12) -> list[tuple]:
     """The three classical unit determinants: Catalan at shifts 0 and 1,
     and the second convolution power at shift 0, all identically 1."""
-    reports = []
-    for K, shift in ((1, 0), (1, 1), (2, 0)):
-        for n, d in enumerate(catalan_dets(K, shift, size_max)):
-            reports.append(
-                equal_report(
-                    "unit-det", {"K": K, "shift": shift, "n": n}, d, 1
-                )
-            )
-    return reports
+    return [
+        ("unit-det", {"K": K, "shift": shift, "n": n}, (Family(CATALAN_CONV, K), shift), n, 1)
+        for K, shift in ((1, 0), (1, 1), (2, 0))
+        for n in range(size_max + 1)
+    ]
 
 
-def check_even_support(k: int, size_max: int = 24) -> list[CheckReport]:
+def even_support_rows(k: int, size_max: int = 24) -> list[tuple]:
     """Power 2k at back shift 1-k: (-1)^(n*binom(k,2)) at sizes kn, else 0."""
-    if k < 1:
-        raise ValueError("need k >= 1")
-    reports = []
-    for N, d in enumerate(catalan_dets(2 * k, 1 - k, size_max)):
-        q, r = divmod(N, k)
-        expected = _sign(q * binomial(k, 2)) if r == 0 else 0
-        reports.append(
-            equal_report("even-conv/support", {"k": k, "N": N}, d, expected)
-        )
-    return reports
+    sweep = (Family(CATALAN_CONV, 2 * k), 1 - k)
+    return [
+        ("even-conv/support", {"k": k, "N": N}, sweep, N,
+         0 if N % k else _sign(N // k * binomial(k, 2)))
+        for N in range(size_max + 1)
+    ]
 
 
-def check_odd_support(k: int, size_max: int = 24) -> list[CheckReport]:
+def odd_support_rows(k: int, size_max: int = 24) -> list[tuple]:
     """Power 2k+1 at shifts -k and 1-k: periodic support mod 2k+1.
 
     Shift -k is nonzero at remainders 0 and k+1; shift 1-k at remainders
     0 and k; signs walk with (-1)^(k) per period plus a binomial offset at
-    the second residue.
+    the second residue.  The rows run size-major over the two shifts.
     """
-    if k < 1:
+    if k < 1:  # the family of power 2k + 1 alone would accept k = 0
         raise ValueError("need k >= 1")
-    K = 2 * k + 1
-    reports = []
-    sweeps = [
-        (shift, second, catalan_dets(K, shift, size_max))
-        for shift, second in ((-k, k + 1), (1 - k, k))
-    ]
+    family = Family(CATALAN_CONV, 2 * k + 1)
+    rows = []
     for N in range(size_max + 1):
-        q, r = divmod(N, K)
-        for shift, second, dets in sweeps:
-            if r == 0:
-                expected = _sign(k * q)
-            elif r == second:
-                expected = _sign(k * q + binomial(second, 2))
-            else:
-                expected = 0
-            reports.append(
-                equal_report(
-                    "odd-conv/support",
-                    {"k": k, "shift": shift, "N": N},
-                    dets[N],
-                    expected,
-                )
-            )
-    return reports
+        q, r = divmod(N, 2 * k + 1)
+        for shift, second in ((-k, k + 1), (1 - k, k)):
+            params = {"k": k, "shift": shift, "N": N}
+            expected = _sign(k * q + binomial(r, 2)) if r in (0, second) else 0
+            rows.append(("odd-conv/support", params, (family, shift), N, expected))
+    return rows
 
 
-def check_even_support_poly(k: int, mult_max: int = 3) -> list[CheckReport]:
+def even_support_t_rows(k: int, mult_max: int = 3) -> list[tuple]:
     """Power 2k over Z[t] at back shift 1-k: the size-kn determinant is
     (-1)^(n*binom(k,2)) * t^(k^2*binom(n,2)); other sizes vanish."""
-    if k < 1:
-        raise ValueError("need k >= 1")
-    reports = []
-    dets = narayana_dets(2 * k, 1 - k, k * mult_max)
-    for n in range(mult_max + 1):
-        d = dets[k * n]
-        expected = UniPoly.monomial(
-            k * k * binomial(n, 2), _sign(n * binomial(k, 2))
-        )
-        reports.append(
-            equal_report(
-                "even-conv-t/support", {"k": k, "n": n, "N": k * n}, d, expected
-            )
-        )
-    for N in range(1, k * mult_max + 1):
-        if N % k:
-            reports.append(
-                equal_report(
-                    "even-conv-t/support", {"k": k, "N": N}, dets[N], UniPoly()
-                )
-            )
-    return reports
+    sweep = (Family(NARAYANA_CONV, 2 * k), 1 - k)
+    check = "even-conv-t/support"
+    support = [
+        (check, {"k": k, "n": n, "N": k * n}, sweep, k * n,
+         UniPoly.monomial(k * k * binomial(n, 2), _sign(n * binomial(k, 2))))
+        for n in range(mult_max + 1)
+    ]
+    return support + [
+        (check, {"k": k, "N": N}, sweep, N, UniPoly())
+        for N in range(1, k * mult_max + 1)
+        if N % k
+    ]
 
 
-def check_narayana_unit(size_max: int = 8) -> list[CheckReport]:
+def narayana_unit_rows(size_max: int = 8) -> list[tuple]:
     """Narayana Hankel determinants at shifts 0 and 1 equal t^binom(n,2)."""
-    reports = []
-    for shift in (0, 1):
-        for n, d in enumerate(narayana_dets(1, shift, size_max)):
-            expected = UniPoly.monomial(binomial(n, 2))
-            reports.append(
-                equal_report(
-                    "narayana-hankel/power", {"shift": shift, "n": n}, d, expected
-                )
-            )
-    return reports
+    return [
+        ("narayana-hankel/power", {"shift": shift, "n": n},
+         (Family(NARAYANA_CONV, 1), shift), n, UniPoly.monomial(binomial(n, 2)))
+        for shift in (0, 1)
+        for n in range(size_max + 1)
+    ]
 
 
-def check_quartic_closed_form(size_max: int = 8) -> list[CheckReport]:
+def quartic_rows(size_max: int = 8) -> list[tuple]:
     """Fourth power over Z[t] at shift 0: alternating sign, a t-power, and
     an even geometric factor 1 + t^2 + ... + t^(2n)."""
-    reports = []
-    for N, d in enumerate(narayana_dets(4, 0, size_max)):
+    sweep = (Family(NARAYANA_CONV, 4), 0)
+    rows = []
+    for N in range(size_max + 1):
         n, r = divmod(N, 2)
         geometric = UniPoly([1, 0] * n + [1])
-        exp = 2 * (n * n - n) if r == 0 else 2 * n * n
-        expected = _sign(n) * UniPoly.monomial(exp) * geometric
-        reports.append(equal_report("closed-form/quartic", {"N": N}, d, expected))
-    return reports
+        expected = _sign(n) * UniPoly.monomial(2 * n * (n - 1 + r)) * geometric
+        rows.append(("closed-form/quartic", {"N": N}, sweep, N, expected))
+    return rows
 
 
-def check_cubic_closed_form(size_max: int = 6) -> list[CheckReport]:
+def cubic_rows(size_max: int = 6) -> list[tuple]:
     """Third power over Z[t] at shift 0: t^binom(N,2) times an alternating
     binomial tail in 1/t."""
-    reports = []
-    for N, d in enumerate(narayana_dets(3, 0, size_max)):
+    sweep = (Family(NARAYANA_CONV, 3), 0)
+    rows = []
+    for N in range(size_max + 1):
         top = binomial(N, 2)
         coeffs = [0] * (top + 1)
         for j in range(N // 2 + 1):
             coeffs[top - j] += _sign(j) * binomial(N - j, j)
-        expected = UniPoly(coeffs)
-        reports.append(equal_report("closed-form/cubic", {"N": N}, d, expected))
-    return reports
+        rows.append(("closed-form/cubic", {"N": N}, sweep, N, UniPoly(coeffs)))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -364,184 +315,94 @@ def check_series_identities(
     affine and quadratic relations tying the two Narayana series together;
     the interleaving and coefficient recurrences of mixed powers; the
     square-power index shift; the companion reciprocal identity with its
-    base case, t = 1 collapse, and both printed tables.
+    base case, t = 1 collapse, and both printed tables.  Each identity is a
+    row (report id, params, lhs, rhs); series sides are compared at the
+    smaller of their orders.
     """
     if order < 4:
         raise ValueError("order too small to say anything")
-    reports: list[CheckReport] = []
     c = catalan_series(order)
     c0 = narayana_series(order)
     c1 = narayana_series_weighted(order)
-    one = Series.one(INTEGER_RING, order)
+    mixed = [mixed_power_series(K, order) for K in range(2 * k_max + 2)]
+    ks = range(1, k_max + 1)
 
-    reports.append(
-        _series_eq("identity/catalan-quadratic", {}, (c * c).shift(1) + 1, c)
-    )
-    reports.append(
-        _series_eq(
-            "identity/catalan-reciprocal", {}, c.shift(1) + c.reciprocal(), one
-        )
-    )
+    def poly(ring, coeffs) -> Series:
+        return Series.from_polynomial(ring, coeffs, order)
 
+    rows = [
+        ("identity/catalan-quadratic", {}, (c * c).shift(1) + 1, c),
+        ("identity/catalan-reciprocal", {}, c.shift(1) + c.reciprocal(), poly(INTEGER_RING, [1])),
+    ]
     rng = random.Random(seed)
-    for i in range(8):
-        x = rng.randint(-9, 9)
-        y = rng.randint(-9, 9)
-        for n in range(11):
-            reports.append(
-                equal_report(
-                    "identity/lucas-power-sum",
-                    {"x": x, "y": y, "n": n},
-                    lucas(n, x + y, -x * y),
-                    x ** n + y ** n,
-                )
-            )
-
-    for k in range(1, k_max + 1):
-        reports.append(
-            equal_report(
-                "identity/lucas-doubling",
-                {"k": k},
-                companion_poly(2 * k),
-                lucas(k, UniPoly((1, -2)), UniPoly((0, 0, -1))),
-            )
-        )
-
-    for k in range(1, k_max + 1):
-        lhs = (c.shift(1)) ** k + c.reciprocal() ** k
-        rhs = Series.from_polynomial(
-            INTEGER_RING, companion_poly(k).coeffs, order
-        )
-        reports.append(_series_eq("identity/lucas-reciprocal", {"k": k}, lhs, rhs))
-
-    reports.append(
-        _series_eq(
-            "identity/narayana-affine",
-            {},
-            c1,
-            (c0 * T) + Series.from_polynomial(POLY_RING, [UniPoly((1, -1))], order),
-        )
-    )
-    reports.append(
-        _series_eq(
-            "identity/narayana-quadratic",
-            {"which": "weighted"},
-            (c0 * c1 * T).shift(1) + 1,
-            c1,
-        )
-    )
-    reports.append(
-        _series_eq(
-            "identity/narayana-quadratic",
-            {"which": "plain"},
-            (c0 * c1).shift(1) + 1,
-            c0,
-        )
-    )
-
-    for k in range(1, k_max + 1):
-        reports.append(
-            _series_eq(
-                "identity/interleave-odd",
-                {"k": k},
-                mixed_power_series(2 * k - 1, order),
-                mixed_power_series(2 * k - 2, order)
-                + mixed_power_series(2 * k, order).shift(1),
-            )
-        )
-        reports.append(
-            _series_eq(
-                "identity/interleave-even",
-                {"k": k},
-                mixed_power_series(2 * k, order),
-                mixed_power_series(2 * k - 1, order)
-                + (mixed_power_series(2 * k + 1, order) * T).shift(1),
-            )
-        )
-
+    pairs = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(8)]
+    rows += [
+        ("identity/lucas-power-sum", {"x": x, "y": y, "n": n},
+         lucas(n, x + y, -x * y), x ** n + y ** n)
+        for x, y in pairs
+        for n in range(11)
+    ]
+    rows += [
+        ("identity/lucas-doubling", {"k": k},
+         companion_poly(2 * k), lucas(k, UniPoly((1, -2)), UniPoly((0, 0, -1))))
+        for k in ks
+    ]
+    rows += [
+        ("identity/lucas-reciprocal", {"k": k}, c.shift(1) ** k + c.reciprocal() ** k,
+         poly(INTEGER_RING, companion_poly(k).coeffs))
+        for k in ks
+    ]
+    rows += [
+        ("identity/narayana-affine", {}, c1, c0 * T + poly(POLY_RING, [1 - T])),
+        ("identity/narayana-quadratic", {"which": "weighted"}, (c0 * c1 * T).shift(1) + 1, c1),
+        ("identity/narayana-quadratic", {"which": "plain"}, (c0 * c1).shift(1) + 1, c0),
+    ]
+    for k in ks:
+        rows += [
+            ("identity/interleave-odd", {"k": k},
+             mixed[2 * k - 1], mixed[2 * k - 2] + mixed[2 * k].shift(1)),
+            ("identity/interleave-even", {"k": k},
+             mixed[2 * k], mixed[2 * k - 1] + (mixed[2 * k + 1] * T).shift(1)),
+        ]
     # narayana_conv is computed by this very recurrence, so both sides read
     # the generating-function coefficients instead.
     conv = {K: mixed_power_series(K, 11).coefficient for K in range(1, 9)}
     for k in range(1, 4):
         for n in range(11):
-            reports.append(
-                equal_report(
-                    "identity/conv-recurrence",
-                    {"parity": "even", "k": k, "n": n},
-                    conv[2 * k](n),
-                    conv[2 * k - 1](n) + T * conv[2 * k + 1](n - 1),
-                )
-            )
-            reports.append(
-                equal_report(
-                    "identity/conv-recurrence",
-                    {"parity": "odd", "k": k, "n": n},
-                    conv[2 * k + 1](n),
-                    conv[2 * k](n) + conv[2 * k + 2](n - 1),
-                )
-            )
-
-    for n in range(9):
-        reports.append(
-            equal_report(
-                "identity/conv-square-shift",
-                {"n": n},
-                narayana_conv(2, n),
-                narayana(n + 1),
-            )
-        )
-
-    for k in range(1, k_max + 1):
-        ck = mixed_power_series(k, order)
-        tail = (ck * UniPoly.monomial((k + 1) // 2)).shift(k)
-        reports.append(
-            _series_eq(
-                "identity/companion-reciprocal",
-                {"k": k},
-                ck.reciprocal() + tail,
-                Series.from_polynomial(POLY_RING, companion_poly_t(k).coeffs, order),
-            )
-        )
-
-    reports.append(
-        _series_eq(
-            "identity/companion-base",
-            {},
-            c0.reciprocal() + (c0 * T).shift(1),
-            Series.from_polynomial(
-                POLY_RING, [UniPoly((1,)), UniPoly((-1, 1))], order
-            ),
-        )
+            rows += [
+                ("identity/conv-recurrence", {"parity": "even", "k": k, "n": n},
+                 conv[2 * k](n), conv[2 * k - 1](n) + T * conv[2 * k + 1](n - 1)),
+                ("identity/conv-recurrence", {"parity": "odd", "k": k, "n": n},
+                 conv[2 * k + 1](n), conv[2 * k](n) + conv[2 * k + 2](n - 1)),
+            ]
+    rows += [
+        ("identity/conv-square-shift", {"n": n}, narayana_conv(2, n), narayana(n + 1))
+        for n in range(9)
+    ]
+    rows += [
+        ("identity/companion-reciprocal", {"k": k},
+         mixed[k].reciprocal() + (mixed[k] * UniPoly.monomial((k + 1) // 2)).shift(k),
+         poly(POLY_RING, companion_poly_t(k).coeffs))
+        for k in ks
+    ]
+    rows.append(
+        ("identity/companion-base", {},
+         c0.reciprocal() + (c0 * T).shift(1), poly(POLY_RING, [1, T - 1]))
     )
-
-    for k in range(1, k_max + 1):
-        collapsed = UniPoly([p(1) for p in companion_poly_t(k).coeffs])
-        reports.append(
-            equal_report(
-                "identity/companion-collapse",
-                {"k": k},
-                collapsed,
-                companion_poly(k),
-            )
-        )
-
-    for k, expected in COMPANION_INT_TABLE.items():
-        reports.append(
-            equal_report(
-                "identity/companion-int-table", {"k": k}, companion_poly(k), expected
-            )
-        )
-    for k, expected in COMPANION_T_TABLE.items():
-        reports.append(
-            equal_report(
-                "identity/companion-t-table",
-                {"k": k},
-                list(companion_poly_t(k).coeffs),
-                list(expected),
-            )
-        )
-
-    return reports
+    rows += [
+        ("identity/companion-collapse", {"k": k},
+         UniPoly([p(1) for p in companion_poly_t(k).coeffs]), companion_poly(k))
+        for k in ks
+    ]
+    rows += [
+        ("identity/companion-int-table", {"k": k}, companion_poly(k), expected)
+        for k, expected in COMPANION_INT_TABLE.items()
+    ]
+    rows += [
+        ("identity/companion-t-table", {"k": k}, list(companion_poly_t(k).coeffs), list(expected))
+        for k, expected in COMPANION_T_TABLE.items()
+    ]
+    return [equal_report(*row) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -552,23 +413,19 @@ def path_weight_reports(
 ) -> list[CheckReport]:
     """Path-weight identity for every (k, n) within the length budget, plus
     enumeration-vs-recurrence agreement on the weight table."""
-    reports = []
-    for k in range(1, length_max + 2):
-        n = 0
-        while 2 * n + k - 1 <= length_max:
-            reports.append(check_path_weight_identity(k, n, cap))
-            n += 1
-    for length in range(length_max + 1):
-        for height in range(min(length, height_max) + 1):
-            reports.append(
-                equal_report(
-                    "paths/table-agreement",
-                    {"length": length, "height": height},
-                    path_weight_sum(length, height, cap),
-                    path_weight_sum_table(length, height),
-                )
-            )
-    return reports
+    identities = [
+        check_path_weight_identity(k, n, cap)
+        for k in range(1, length_max + 2)
+        for n in range((length_max + 1 - k) // 2 + 1)  # 2n + k - 1 <= length_max
+    ]
+    return identities + [
+        equal_report(
+            "paths/table-agreement", {"length": length, "height": height},
+            path_weight_sum(length, height, cap), path_weight_sum_table(length, height),
+        )
+        for length in range(length_max + 1)
+        for height in range(min(length, height_max) + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -593,17 +450,12 @@ def _theorem_suite(name: str, ks: range, ms: range, n_max: int) -> Callable:
 
 
 def suite_corollaries(seed: int = DEFAULT_SEED) -> list[CheckReport]:
-    reports = check_unit_determinants(size_max=12)
-    for k in range(1, 4):
-        reports.extend(check_even_support(k, size_max=24))
-    for k in range(1, 3):
-        reports.extend(check_odd_support(k, size_max=24))
-    for k in range(1, 4):
-        reports.extend(check_even_support_poly(k, mult_max=3))
-    reports.extend(check_narayana_unit(size_max=8))
-    reports.extend(check_quartic_closed_form(size_max=8))
-    reports.extend(check_cubic_closed_form(size_max=6))
-    return reports
+    rows = unit_det_rows(size_max=12)
+    rows += [row for k in range(1, 4) for row in even_support_rows(k, size_max=24)]
+    rows += [row for k in range(1, 3) for row in odd_support_rows(k, size_max=24)]
+    rows += [row for k in range(1, 4) for row in even_support_t_rows(k, mult_max=3)]
+    rows += narayana_unit_rows(size_max=8) + quartic_rows(size_max=8) + cubic_rows(size_max=6)
+    return check_corollaries(rows)
 
 
 def suite_identities(seed: int = DEFAULT_SEED) -> list[CheckReport]:

@@ -82,16 +82,17 @@ def cofactor_det(rows):
 
 # -- one fraction-free elimination per matrix size ---------------------------
 
-def per_size_det(rows):
+def per_size_det(rows, one):
     """Determinant of one square matrix by its own one-step fraction-free
-    elimination; the result the library's single sweep must reproduce, in
-    value and type, for every leading block."""
+    elimination, with ``one`` the ring's one; the result the library's
+    single sweep must reproduce, in value and type, for every leading
+    block."""
     n = len(rows)
     if n == 0:
-        return 1
+        return one
     a = [list(row) for row in rows]
     sign = 1
-    prev = 1
+    prev = one
     for col in range(n - 1):
         if not a[col][col]:
             for r in range(col + 1, n):

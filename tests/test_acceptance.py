@@ -7,6 +7,8 @@ criterion; any mismatch is a hard failure (tolerance is zero everywhere).
 import random
 
 from catalan_hankel import (
+    INTEGER_RING,
+    POLY_RING,
     SquareMatrix,
     UniPoly,
     catalan_det,
@@ -181,7 +183,7 @@ def test_10_determinant_oracle_agreement():
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         if n >= 2 and rng.random() < 0.2:
             rows[-1] = rows[0][:]  # exact singular case
-        m = SquareMatrix(tuple(tuple(r) for r in rows))
+        m = SquareMatrix(INTEGER_RING, tuple(tuple(r) for r in rows))
         ok = ok and det_fraction_free(m) == cofactor_det(rows)
     for _ in range(100):
         n = rng.randint(1, 4)
@@ -194,6 +196,6 @@ def test_10_determinant_oracle_agreement():
         ]
         if n >= 2 and rng.random() < 0.2:
             rows[-1] = rows[0][:]
-        m = SquareMatrix(tuple(tuple(r) for r in rows))
+        m = SquareMatrix(POLY_RING, tuple(tuple(r) for r in rows))
         ok = ok and det_fraction_free(m) == cofactor_det(rows)
     _criterion(10, "fraction-free vs cofactor determinants", ok)

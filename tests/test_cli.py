@@ -1,10 +1,11 @@
 import hashlib
 import json
+import sys
 from math import comb
 
 import pytest
 
-from catalan_hankel import cli, hankel
+from catalan_hankel import cli, families, hankel
 from catalan_hankel.cli import main
 
 
@@ -141,6 +142,67 @@ def test_hankel_t_eval_rejected_before_elimination(capsys, monkeypatch):
     )
     assert (code, out) == (2, "")
     assert err == "error: --t-eval only applies to polynomial-valued output\n"
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit before 3.10.7"
+)
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_hankel_prints_values_past_the_int_str_limit(capsys, fmt):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(
+        capsys, "hankel", "--k", "1", "--shift", "7200", "--sizes", "1", "--format", fmt
+    )
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit  # the process-wide limit is restored
+    sys.set_int_max_str_digits(0)
+    try:
+        digits = str(comb(14400, 7200) // 7201)  # catalan(7200)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(digits) > 4300
+    assert out == (f"1: {digits}\n" if fmt == "plain" else f'{{"n":1,"value":{digits}}}\n')
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("seq", "--k", "100001", "--n-max", "3"),
+        ("seq", "--family", "narayana-conv", "--k", "100001", "--n-max", "3"),
+        ("seq", "--n-max", "4001"),
+        ("seq", "--family", "narayana-conv", "--n-max", "501"),
+        ("hankel", "--shift", "200001", "--sizes", "1"),
+        ("hankel", "--family", "narayana-conv", "--shift", "501", "--sizes", "1"),
+        ("hankel", "--sizes", "0..251"),
+        ("hankel", "--family", "narayana-conv", "--sizes", "31", "--matrix"),
+        ("paths", "--length", "1001", "--height", "0"),
+        ("paths", "--length", "6", "--height", "0", "--list", "--cap", "25"),
+    ],
+)
+def test_limits_exit_two_before_any_work(capsys, monkeypatch, argv):
+    def no_work(*args):
+        raise AssertionError("started work on a request over a limit")
+
+    for name in ("catalan_conv", "narayana_conv"):
+        monkeypatch.setattr(families, name, no_work)
+    monkeypatch.setattr(cli, "path_weight_sum_table", no_work)
+    monkeypatch.setattr(cli, "enumerate_paths", no_work)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --") and " is over the " in err
+
+
+def test_limit_message_and_requests_at_the_limits(capsys):
+    code, _, err = run_cli(capsys, "seq", "--family", "narayana-conv", "--n-max", "501")
+    assert (code, err) == (2, "error: --n-max 501 is over the narayana-conv limit 500\n")
+    for argv in (
+        ("seq", "--family", "narayana-conv", "--k", "100000", "--n-max", "0"),
+        ("hankel", "--shift", "200000", "--sizes", "0"),
+        ("hankel", "--shift", "-3000000", "--sizes", "3"),
+        ("paths", "--length", "1000", "--height", "1"),
+    ):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out, argv
 
 
 def test_hankel_single_size(capsys):

@@ -3,6 +3,8 @@ from math import comb
 import pytest
 
 from catalan_hankel import (
+    INTEGER_RING,
+    POLY_RING,
     Family,
     UniPoly,
     catalan,
@@ -192,10 +194,10 @@ def test_companion_poly_t_degree_and_collapse():
 def test_family_descriptor():
     f = Family("catalan-conv", 2)
     assert f.value(3) == catalan_conv(2, 3)
-    assert not f.polynomial
+    assert f.ring is INTEGER_RING
     g = Family("narayana-conv", 2)
     assert g.value(3) == narayana_conv(2, 3)
-    assert g.polynomial
+    assert g.ring is POLY_RING
     with pytest.raises(ValueError):
         Family("poisson", 1)
     with pytest.raises(ValueError):

@@ -9,6 +9,13 @@ def test_equal_report_decides():
     assert not bad.ok and bad.status == "fail"
 
 
+def test_equal_report_compares_series_at_the_smaller_order():
+    long, short = Series(INTEGER_RING, [1, 2, 3, 4]), Series(INTEGER_RING, [1, 2])
+    r = equal_report("demo", {}, long, short)
+    assert r.ok and r.lhs == r.rhs == short
+    assert not equal_report("demo", {}, long, Series(INTEGER_RING, [1, 3])).ok
+
+
 def test_report_json_shape():
     r = equal_report("demo", {"k": 2}, UniPoly((1, -1)), UniPoly((1, -1)))
     assert r.to_json() == {

@@ -1,22 +1,24 @@
 import pytest
 
-from catalan_hankel import UniPoly, catalan, families, summarize
+from catalan_hankel import UniPoly, catalan, families, hankel, summarize
 from catalan_hankel.verify import (
     COMPANION_T_TABLE,
-    check_cubic_closed_form,
-    check_even_support,
-    check_even_support_poly,
-    check_narayana_unit,
-    check_odd_support,
-    check_quartic_closed_form,
+    check_corollaries,
     check_reciprocal_duality,
     check_series_identities,
     check_shift_theorem,
-    check_unit_determinants,
+    cubic_rows,
+    even_support_rows,
+    even_support_t_rows,
+    narayana_unit_rows,
+    odd_support_rows,
     path_weight_reports,
+    quartic_rows,
     random_duality_reports,
     run_suite,
     structured_duality_reports,
+    suite_corollaries,
+    unit_det_rows,
 )
 
 from oracles import list_power
@@ -122,19 +124,48 @@ def test_duality_and_shift_theorem_overlap():
 
 
 def test_support_patterns():
-    assert_all_pass(check_unit_determinants(size_max=8))
+    rows = unit_det_rows(size_max=8)
     for k in (1, 2, 3):
-        assert_all_pass(check_even_support(k, size_max=14))
+        rows += even_support_rows(k, size_max=14)
     for k in (1, 2):
-        assert_all_pass(check_odd_support(k, size_max=14))
+        rows += odd_support_rows(k, size_max=14)
     for k in (1, 2, 3):
-        assert_all_pass(check_even_support_poly(k, mult_max=2))
-    assert_all_pass(check_narayana_unit(size_max=6))
+        rows += even_support_t_rows(k, mult_max=2)
+    rows += narayana_unit_rows(size_max=6)
+    reports = check_corollaries(rows)
+    assert len(reports) == len(rows)
+    assert_all_pass(reports)
 
 
 def test_closed_forms():
-    assert_all_pass(check_quartic_closed_form(size_max=7))
-    assert_all_pass(check_cubic_closed_form(size_max=6))
+    assert_all_pass(check_corollaries(quartic_rows(size_max=7) + cubic_rows(size_max=6)))
+
+
+@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("rows", [even_support_rows, odd_support_rows, even_support_t_rows])
+def test_corollary_power_grids_need_k_at_least_one(rows, k):
+    # power 2k + 1 is a valid family at k = 0, so that grid checks k itself
+    with pytest.raises(ValueError):
+        rows(k)
+
+
+def test_corollaries_eliminate_each_sweep_once(monkeypatch):
+    sizes = []
+    real = hankel.leading_minors
+
+    def counting(m):
+        sizes.append(m.n)
+        return real(m)
+
+    monkeypatch.setattr(hankel, "leading_minors", counting)
+    reports = suite_corollaries()
+    assert_all_pass(reports)
+    # 17 sweep calls before the rows, but the unit determinant of power 2 at
+    # shift 0 and the even support at k = 1 are one sweep
+    assert len(sizes) == 16
+    assert sorted(sizes) == sorted(
+        [12, 12, 24, 24, 24, 24, 24, 24, 24, 3, 6, 9, 8, 8, 8, 6]
+    )
 
 
 def test_series_identities_pass():

@@ -3,7 +3,7 @@
 The integer sequences repeat with a small period; the polynomial
 versions concentrate all weight near the top degree t^binom(N,2).
 Each table is one sweep: every size is a leading minor of the largest
-matrix, read off a single elimination.
+matrix, read off a single subresultant chain.
 '''
 from catalan_hankel import catalan_dets, narayana_dets, render_poly
 

@@ -108,7 +108,7 @@ def _cmd_hankel(args) -> int:
         print(json.dumps({"n": m.n, "rows": encode_value(rows)}, separators=(",", ":")))
         return 0
     if args.t_eval is not None and family.ring is INTEGER_RING:
-        # refused before the elimination rather than after it
+        # refused before the sweep rather than after it
         raise ValueError("--t-eval only applies to polynomial-valued output")
     # The sizes are one contiguous range, read from one sweep of the largest.
     dets = family_dets(family, args.shift, sizes[-1])

@@ -1,12 +1,12 @@
-"""Hankel matrices and exact fraction-free determinants.
+"""Hankel matrices and their exact leading minors.
 
-The determinant engine is one-step fraction-free elimination: every update
-``(piv*a[r][c] - a[r][col]*a[col][c]) / prev_piv`` divides exactly in the
-coefficient ring, keeping intermediate entries as genuine minors instead of
-fractions.  No content is stripped mid-elimination, so the algorithm is
-identical over Z and Z[t].  The pivots it meets are the leading principal
-minors, so one elimination of the largest matrix gives the determinants of
-every size of a Hankel sweep.
+An N x N Hankel matrix is fixed by its defining sequence a(0..2N-2), and
+its leading principal minors are, up to sign, the principal subresultant
+coefficients of x^(2N-1) and the reversed sequence polynomial.  The engine
+is one fraction-free subresultant chain on that pair: every division in it
+is exact in the coefficient ring, so the algorithm is identical over Z and
+Z[t], and it yields the determinants of every size of a sweep in O(N^2)
+ring operations.  Zero minors show up as degree gaps of the chain.
 """
 
 from __future__ import annotations
@@ -51,48 +51,87 @@ def hankel_matrix(
     return SquareMatrix(ring, tuple(tuple(values[i : i + size]) for i in range(size)))
 
 
-def leading_minors(m: SquareMatrix) -> list[Scalar]:
-    """Every leading principal minor [D(0), ..., D(n)] from one elimination.
-
-    One-step fraction-free elimination keeps a[i-1][i-1], just before column
-    i-1 is pivoted, equal to the i x i leading minor of the row-permuted
-    matrix, so D(i) is read off there with the sign of the swaps so far.
-    D(0) is the ring's one.  A zero pivot at column c is repaired by
-    swapping in the first row r below with a nonzero entry (sign flip);
-    every D(i) with c < i <= r is then the ring's zero, because the first
-    c + 1 columns of the i x i block have rank c.  If no row below has a
-    nonzero entry, all remaining minors are that zero.  Each D(i) equals,
-    in value and type, the determinant of the leading i x i block
-    eliminated on its own.
-    """
+def _defining_sequence(m: SquareMatrix) -> list[Scalar]:
+    """The sequence a(0..2N-2) with entry (i, j) = a(i + j): the first row,
+    then the last column.  Raises ValueError if the matrix is not Hankel."""
     n = m.n
-    a = [list(row) for row in m.rows]
-    minors: list[Scalar] = [m.ring.one]
-    sign = 1
-    prev = m.ring.one
-    for col in range(n):
-        d = a[col][col]
-        if len(minors) == col + 1:
-            minors.append(-d if sign < 0 else d)
-        if not d:
-            for r in range(col + 1, n):
-                if a[r][col]:
-                    a[col], a[r] = a[r], a[col]
-                    sign = -sign
-                    minors += [d] * (r + 1 - len(minors))  # d is the ring's zero
-                    break
-            else:
-                minors += [d] * (n + 1 - len(minors))
-                return minors
-        piv = a[col][col]
-        for r in range(col + 1, n):
-            lead = a[r][col]
-            row_r = a[r]
-            row_c = a[col]
-            for c in range(col + 1, n):
-                val = piv * row_r[c] - lead * row_c[c]
-                row_r[c] = val if col == 0 else exact_div(val, prev)
-        prev = piv
+    a = list(m.rows[0]) + [row[-1] for row in m.rows[1:]] if n else []
+    if any(row != tuple(a[i : i + n]) for i, row in enumerate(m.rows)):
+        raise ValueError("matrix is not Hankel: entry (i, j) must depend on i + j only")
+    return a
+
+
+def _pseudo_remainder(a: list, deg_a: int, b: list, deg_b: int, floor: int) -> list:
+    """lc(b)^(deg_a - deg_b + 1) * a mod b, kept at degrees >= floor.
+
+    Both operands are coefficient lists in descending degree order, the
+    first entry nonzero, cut at floors of their own.  The result lists the
+    degrees deg_b - 1 down to floor.  Besides the quotient, which reads only
+    top coefficients, its coefficient of degree e reads a at degree e and
+    b at degrees e - (deg_a - deg_b) .. e, so it is exact whenever a
+    reaches down to floor and b to floor - (deg_a - deg_b).
+    """
+    lead = b[0]
+    r = a[: deg_a - floor + 1]
+    for _ in range(deg_a - deg_b + 1):
+        c = r[0]
+        r = [lead * x - c * y for x, y in zip(r[1:], b[1:])] + [lead * x for x in r[len(b) :]]
+    return r
+
+
+def leading_minors(m: SquareMatrix) -> list[Scalar]:
+    """Every leading principal minor [D(0), ..., D(N)] of a Hankel matrix.
+
+    With a(0..2N-2) the defining sequence, M = 2N - 1, F = x^M and
+    G = sum a(i) x^(M-1-i), D(n) = (-1)^(n(n-1)/2) sres_(M-n)(F, G) for
+    1 <= n <= N, where sres_j is the j-th principal subresultant
+    coefficient; D(0) is the ring's one.
+
+    One fraction-free subresultant chain (Brown-Traub signs) gives them
+    all.  Each remainder is prem(A, B) / ((-1)^(d+1) g h^d), where
+    d = deg A - deg B, g = lc(A) and h is the principal coefficient at
+    deg A; its formal index is j = deg B - 1.  If its degree falls below j,
+    the minors of the skipped degrees are zero, and its own principal
+    coefficient is lc^d / h^(d-1), taken by Lazard's iterated exact
+    division.  A zero remainder makes every later minor zero.
+
+    Only principal coefficients at degrees >= N - 1 are needed, so a member
+    of formal index j is kept at degrees >= 2(N-1) - j, cut before its
+    exact division because the dropped tail is not divisible.  The sweep
+    then costs O(N^2) ring operations.  Each D(n) equals, in value and
+    type, the determinant of the leading n x n block.  Raises ValueError
+    if the matrix is not Hankel.
+    """
+    size = m.n
+    b = _defining_sequence(m)
+    one = m.ring.one
+    minors: list[Scalar] = [one] + [m.ring.zero] * size
+    top = 2 * size - 1
+    a, deg_a = [one] + [m.ring.zero] * top, top
+    g = h = one
+    j = top - 1  # formal subresultant index of b
+    while True:
+        skip = next((i for i, c in enumerate(b) if c), None)
+        if skip is None:
+            break
+        b, deg_b, d = b[skip:], j - skip, skip + 1  # d = deg_a - deg_b
+        lead = s = b[0]
+        for _ in range(d - 1):
+            s = exact_div(s * lead, h)
+        n = top - deg_b
+        if n <= size:
+            minors[n] = -s if n % 4 in (2, 3) else s
+        if deg_b < size:
+            break
+        # the remainder has formal index deg_b - 1
+        r = _pseudo_remainder(a, deg_a, b, deg_b, 2 * (size - 1) - (deg_b - 1))
+        beta = g
+        for _ in range(d):
+            beta = beta * h
+        if d % 2 == 0:
+            beta = -beta
+        a, deg_a, g, h, j = b, deg_b, lead, s, deg_b - 1
+        b = [exact_div(c, beta) for c in r]
     return minors
 
 
@@ -107,7 +146,7 @@ def det_fraction_free(m: SquareMatrix) -> Scalar:
 
 def family_dets(family: Family, shift: int, top: int) -> list[Scalar]:
     """Hankel determinants of sizes 0..top of one convolution family, each
-    in the family's ring, all read from one elimination of the top x top
+    in the family's ring, all read from one chain on the top x top
     matrix.  Raises ValueError for top < 0.
 
     Entry (i, j) is family.value(i + j + shift); negative indices give zero.

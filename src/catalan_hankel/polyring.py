@@ -4,8 +4,8 @@ Integers are plain Python ``int`` (arbitrary precision).  Polynomials in the
 weight variable t are dense integer-coefficient :class:`UniPoly` values.
 ``INTEGER_RING`` and ``POLY_RING`` describe the two rings (zero, one and
 scalar coercion) for the series and matrices built over them.  Both rings
-share :func:`exact_div`, the division used by fraction-free
-elimination: it must be exact and raises :class:`ExactDivisionError` when a
+share :func:`exact_div`, the division used by the fraction-free
+subresultant chain of the Hankel engine: it must be exact and raises :class:`ExactDivisionError` when a
 remainder survives.
 """
 

@@ -177,7 +177,7 @@ def check_shift_theorem(name: str, k: int, m: int, n_max: int) -> list[CheckRepo
 
 def check_corollaries(rows: Sequence[tuple]) -> list[CheckReport]:
     """One report per row, in row order: D(N) of the row's sweep against its
-    expected value.  Each distinct sweep is eliminated once, at the largest
+    expected value.  Each distinct sweep runs once, at the largest
     N its rows read, so rows of different sweeps may interleave."""
     tops: dict = {}
     for _, _, sweep, N, _ in rows:

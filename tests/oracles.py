@@ -2,9 +2,10 @@
 
 Deliberately naive and structurally different from the package code:
 Pascal's triangle instead of factorial formulas, dict-based polynomial
-arithmetic, cofactor expansion instead of elimination, a fresh elimination
-per matrix size instead of one sweep, list convolution instead of closed
-forms, and Dyck-path peak counting for the Narayana refinement.
+arithmetic, cofactor expansion instead of elimination, elimination of any
+square matrix instead of a subresultant chain on a Hankel sequence, a fresh
+elimination per matrix size instead of one sweep, list convolution instead
+of closed forms, and Dyck-path peak counting for the Narayana refinement.
 """
 
 from functools import lru_cache
@@ -113,6 +114,52 @@ def per_size_det(rows, one):
         prev = piv
     d = a[n - 1][n - 1]
     return -d if sign < 0 else d
+
+
+# -- every leading minor of any square matrix from one elimination -----------
+
+def sweep_minors(rows, one):
+    """Every leading principal minor [D(0), ..., D(n)] of a square matrix of
+    any shape, from one one-step fraction-free elimination.
+
+    a[i-1][i-1], just before column i-1 is pivoted, is the i x i leading
+    minor of the row-permuted matrix, so D(i) is read off there with the
+    sign of the swaps so far.  A zero pivot at column c is repaired by
+    swapping in the first row r below with a nonzero entry; every D(i) with
+    c < i <= r is then zero, because the first c + 1 columns of the i x i
+    block have rank c.  If no row below has a nonzero entry, all remaining
+    minors are that zero.  The library's subresultant chain must reproduce
+    these on every Hankel matrix, in value and type.
+    """
+    n = len(rows)
+    a = [list(row) for row in rows]
+    minors = [one]
+    sign = 1
+    prev = one
+    for col in range(n):
+        d = a[col][col]
+        if len(minors) == col + 1:
+            minors.append(-d if sign < 0 else d)
+        if not d:
+            for r in range(col + 1, n):
+                if a[r][col]:
+                    a[col], a[r] = a[r], a[col]
+                    sign = -sign
+                    minors += [d] * (r + 1 - len(minors))  # d is the ring's zero
+                    break
+            else:
+                minors += [d] * (n + 1 - len(minors))
+                return minors
+        piv = a[col][col]
+        for r in range(col + 1, n):
+            lead = a[r][col]
+            row_r = a[r]
+            row_c = a[col]
+            for c in range(col + 1, n):
+                val = piv * row_r[c] - lead * row_c[c]
+                row_r[c] = val if col == 0 else exact_div(val, prev)
+        prev = piv
+    return minors
 
 
 # -- convolution powers by repeated list convolution -------------------------

@@ -133,7 +133,7 @@ def test_hankel_range_is_tail_of_full_sweep(capsys, fmt):
 
 def test_hankel_t_eval_rejected_before_elimination(capsys, monkeypatch):
     def never(m):
-        raise AssertionError("eliminated a matrix for a refused request")
+        raise AssertionError("swept a matrix for a refused request")
 
     monkeypatch.setattr(hankel, "leading_minors", never)
     code, out, err = run_cli(

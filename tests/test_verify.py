@@ -141,6 +141,25 @@ def test_closed_forms():
     assert_all_pass(check_corollaries(quartic_rows(size_max=7) + cubic_rows(size_max=6)))
 
 
+def test_theorems_at_larger_bounds():
+    # The paper's closed forms are an independent oracle at sizes that
+    # one elimination per size cannot reach in tier-1 time.
+    reports = []
+    for name in ("even-conv", "odd-conv"):
+        reports += check_shift_theorem(name, 8, 6, 20)
+    for name in ("even-conv-t", "odd-conv-t"):
+        for k, m, n_max in ((5, 4, 12), (3, 2, 16)):
+            reports += check_shift_theorem(name, k, m, n_max)
+    reports += check_corollaries(
+        quartic_rows(size_max=16)
+        + narayana_unit_rows(size_max=20)
+        + even_support_rows(4, size_max=60)
+        + odd_support_rows(4, size_max=60)
+    )
+    assert len(reports) == 438
+    assert_all_pass(reports)
+
+
 @pytest.mark.parametrize("k", [0, -1])
 @pytest.mark.parametrize("rows", [even_support_rows, odd_support_rows, even_support_t_rows])
 def test_corollary_power_grids_need_k_at_least_one(rows, k):

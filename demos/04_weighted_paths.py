@@ -29,11 +29,11 @@ for k in range(1, 4):
         print(f"  k={k} n={n}: {render_poly(total)}  [{mark}]")
         assert total == target
 
-# the table recurrence reproduces the brute force enumeration
+# the closed-form table reproduces the brute force enumeration
 for length in range(13):
     for height in range(7):
         assert path_weight_sum_table(length, height) == path_weight_sum(
             length, height
         )
 print()
-print("recurrence agrees with enumeration through length 12")
+print("closed form agrees with enumeration through length 12")

@@ -15,19 +15,13 @@ Polynomial side (weight variable t)
         c^(0) = 1,  c^(2j) = (c0*c1)^j,  c^(2j+1) = (c0*c1)^j * c0,
         whose x^n coefficient ``narayana_conv(k, n)`` reduces to
         catalan_conv(k, n) at t=1.
-
-``narayana_conv`` does not multiply series.  It reads the two-term ballot
-recurrence behind the weighted path model (Prop 1):
-
-    a(k, n) = a(k-1, n) + w * a(k+1, n-1),   w = t for even k, 1 for odd k,
-
-with a(0, n) = [n == 0] and a(k, 0) = 1.  One pass gives the whole prefix
-n < N of one k in O((2N + k) * N) polynomial additions.  The prefixes live in
-``narayana_prefix``: it keeps the longest prefix computed so far for each k,
-at least doubles it when a longer one is asked for, and holds at most
-``NARAYANA_PREFIX_KS`` powers k, dropping the least recently used.
-``mixed_power_series`` stays the generating-function side that the
-verification suites compare the recurrence against.
+    ``narayana_conv(k, n)`` closed form for n >= 1: with a = ceil(k/2),
+                            b = floor(k/2), the t^i coefficient is
+        (a C(n+b, i) C(n+a-1, n-1-i) + b C(n+a, n-i) C(n+b-1, i-1)) / n.
+        It is Lagrange inversion of u = x c0 c1 = x (1+u)(1+tu), where
+        c0 = 1+u and c1 = 1+tu, so the k-th power is (1+u)^a (1+tu)^b.
+        ``mixed_power_series`` stays the generating-function side of the
+        verification suites.
 
 Lucas side
     ``lucas(n, x, s)``      L_0 = 2, L_1 = x, L_n = x L_{n-1} + s L_{n-2},
@@ -41,13 +35,11 @@ and every cache is bounded.
 
 from __future__ import annotations
 
-from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Callable
 
-from .polyring import INTEGER_RING, POLY_RING, UniPoly, _Ring
+from .polyring import INTEGER_RING, POLY_RING, UniPoly, _Ring, binomial
 from .series import Series
 
 
@@ -119,83 +111,23 @@ def mixed_power_series(k: int, order: int) -> Series:
     return base
 
 
-def _ballot_prefix(k: int, size: int) -> list[UniPoly]:
-    """narayana_conv(k, n) for 0 <= n < size by the ballot recurrence.
-
-    Row n holds a(j, n) for 0 <= j <= k + size - 1 - n, the band of powers
-    that can still reach (k, size - 1).  Polynomials are coefficient tuples;
-    all coefficients are non-negative, so sums never cancel, and the
-    weight t is a prepended zero.
-    """
-    top = k + size - 1
-    row = [(1,)] * (top + 1)
-    out = [UniPoly((1,))]
-    for n in range(1, size):
-        prev, row = row, [()]
-        for j in range(1, top - n + 1):
-            a, b = row[j - 1], prev[j + 1]
-            if b and not j % 2:
-                b = (0,) + b
-            if len(a) < len(b):
-                a, b = b, a
-            row.append(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
-        out.append(UniPoly(row[k]))
-    return out
-
-
-CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
-
-#: Most powers k whose narayana_conv prefix is kept at once.
-NARAYANA_PREFIX_KS = 32
-
-
-def _prefix_cache(build: Callable[[int, int], list], maxsize: int):
-    """Serve ``build(k, size)[n]`` from the longest prefix built so far per k.
-
-    A read past the prefix rebuilds it at least twice as long; past
-    ``maxsize`` keys the least recently used k is dropped.  Like a
-    ``functools.lru_cache`` function, the reader carries ``cache_info()``
-    and ``cache_clear()``.
-    """
-    prefixes: OrderedDict[int, list] = OrderedDict()
-    hits = misses = 0
-
-    def read(k: int, n: int):
-        nonlocal hits, misses
-        prefix = prefixes.get(k, ())
-        if n < len(prefix):
-            hits += 1
-        else:
-            misses += 1
-            prefix = prefixes[k] = build(k, max(n + 1, 2 * len(prefix)))
-            if len(prefixes) > maxsize:
-                prefixes.popitem(last=False)
-        prefixes.move_to_end(k)
-        return prefix[n]
-
-    def cache_info() -> CacheInfo:
-        return CacheInfo(hits, misses, maxsize, len(prefixes))
-
-    def cache_clear() -> None:
-        nonlocal hits, misses
-        prefixes.clear()
-        hits = misses = 0
-
-    read.cache_info = cache_info
-    read.cache_clear = cache_clear
-    return read
-
-
-narayana_prefix = _prefix_cache(_ballot_prefix, NARAYANA_PREFIX_KS)
-
-
 def narayana_conv(k: int, n: int) -> UniPoly:
-    """Coefficient of x^n in the k-th mixed convolution power."""
+    """Coefficient of x^n in the k-th mixed convolution power, by the
+    Lagrange inversion closed form of the module docstring."""
     if k < 1:
         raise ValueError(f"convolution power k={k} must be >= 1")
     if n < 0:
         return UniPoly()
-    return narayana_prefix(k, n)
+    if n == 0:
+        return UniPoly((1,))
+    a, b = (k + 1) // 2, k // 2
+    return UniPoly(
+        [
+            (a * binomial(n + b, i) * binomial(n + a - 1, n - 1 - i)
+             + b * binomial(n + a, n - i) * binomial(n + b - 1, i - 1)) // n
+            for i in range(n + 1)
+        ]
+    )
 
 
 def lucas(n: int, x, s):

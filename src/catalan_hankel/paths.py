@@ -9,7 +9,8 @@ coefficient of the k-th mixed convolution power.
 
 Enumeration is depth-first with no path storage when only the weight sum is
 needed; an explicit cap on the step count keeps the exponential walk in
-check.  The recurrence form of the weight sum has no cap.
+check.  The table form of the weight sum, read from the closed form of
+``narayana_conv``, has no cap.
 """
 
 from __future__ import annotations
@@ -113,13 +114,14 @@ def path_weight_sum(length: int, height: int, cap: int = DEFAULT_CAP) -> UniPoly
 
 
 def path_weight_sum_table(length: int, height: int) -> UniPoly:
-    """Same weight sum through the two-term height recurrence, no cap.
+    """Same weight sum from the closed form of the mixed power, no cap.
 
     Splitting off the last step gives a(L, h) = a(L-1, h-1) + w * a(L-1, h+1)
     with w = t for an odd landing height h, else 1.  With k = h + 1 and
-    L = 2n + k - 1 that is the ballot recurrence ``narayana_conv`` runs on,
-    so the sum is read from there.  Independent of the enumeration
-    above, which is what makes the agreement test meaningful.
+    L = 2n + k - 1 that is the ballot recurrence of Prop 1, whose solution
+    is the mixed power coefficient ``narayana_conv(k, n)``, so the sum is
+    read from its closed form.  Independent of the enumeration above, which
+    is what makes the agreement test meaningful.
     """
     if length < 0 or height < 0:
         raise ValueError("length and height must be >= 0")

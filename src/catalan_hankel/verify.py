@@ -364,16 +364,14 @@ def check_series_identities(
             ("identity/interleave-even", {"k": k},
              mixed[2 * k], mixed[2 * k - 1] + (mixed[2 * k + 1] * T).shift(1)),
         ]
-    # narayana_conv is computed by this very recurrence, so both sides read
-    # the generating-function coefficients instead.
-    conv = {K: mixed_power_series(K, 11).coefficient for K in range(1, 9)}
+    conv = narayana_conv
     for k in range(1, 4):
         for n in range(11):
             rows += [
                 ("identity/conv-recurrence", {"parity": "even", "k": k, "n": n},
-                 conv[2 * k](n), conv[2 * k - 1](n) + T * conv[2 * k + 1](n - 1)),
+                 conv(2 * k, n), conv(2 * k - 1, n) + T * conv(2 * k + 1, n - 1)),
                 ("identity/conv-recurrence", {"parity": "odd", "k": k, "n": n},
-                 conv[2 * k + 1](n), conv[2 * k](n) + conv[2 * k + 2](n - 1)),
+                 conv(2 * k + 1, n), conv(2 * k, n) + conv(2 * k + 2, n - 1)),
             ]
     rows += [
         ("identity/conv-square-shift", {"n": n}, narayana_conv(2, n), narayana(n + 1))

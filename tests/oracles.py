@@ -4,8 +4,9 @@ Deliberately naive and structurally different from the package code:
 Pascal's triangle instead of factorial formulas, dict-based polynomial
 arithmetic, cofactor expansion instead of elimination, elimination of any
 square matrix instead of a subresultant chain on a Hankel sequence, a fresh
-elimination per matrix size instead of one sweep, list convolution instead
-of closed forms, and Dyck-path peak counting for the Narayana refinement.
+elimination per matrix size instead of one sweep, list convolution and the
+path additions of the Prop 1 ballot recurrence instead of closed forms, and
+Dyck-path peak counting for the Narayana refinement.
 """
 
 from functools import lru_cache
@@ -227,3 +228,32 @@ def mixed_powers_by_convolution(k_max: int, count: int) -> list[list]:
     for k in range(k_max):
         powers.append(convolve(powers[-1], c1 if k % 2 else c0))
     return powers
+
+
+# -- mixed Narayana powers by the Prop 1 ballot recurrence -------------------
+
+def ballot_prefix(k: int, size: int) -> list[UniPoly]:
+    """The x^n coefficients of the k-th mixed power for 0 <= n < size, by
+    the two-term ballot recurrence of the weighted path model (Prop 1):
+
+        a(j, n) = a(j-1, n) + w * a(j+1, n-1),  w = t for even j, 1 for odd j,
+
+    with a(0, n) = [n == 0] and a(j, 0) = 1.  Row n holds a(j, n) for
+    0 <= j <= k + size - 1 - n, the band of powers that can still reach
+    (k, size - 1).  Polynomials are coefficient tuples; all coefficients are
+    non-negative, so sums never cancel, and the weight t is a prepended zero.
+    """
+    top = k + size - 1
+    row = [(1,)] * (top + 1)
+    out = [UniPoly((1,))]
+    for n in range(1, size):
+        prev, row = row, [()]
+        for j in range(1, top - n + 1):
+            a, b = row[j - 1], prev[j + 1]
+            if b and not j % 2:
+                b = (0,) + b
+            if len(a) < len(b):
+                a, b = b, a
+            row.append(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
+        out.append(UniPoly(row[k]))
+    return out[:size]

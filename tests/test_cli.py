@@ -199,10 +199,22 @@ def test_limit_message_and_requests_at_the_limits(capsys):
         ("seq", "--family", "narayana-conv", "--k", "100000", "--n-max", "0"),
         ("hankel", "--shift", "200000", "--sizes", "0"),
         ("hankel", "--shift", "-3000000", "--sizes", "3"),
-        ("paths", "--length", "1000", "--height", "1"),
     ):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and out, argv
+    code, out, _ = run_cli(
+        capsys, "paths", "--length", "1000", "--height", "0", "--format", "json"
+    )
+    assert code == 0 and json.loads(out)["count"] == comb(1000, 500) // 501
+    k = 100000
+    code, out, _ = run_cli(
+        capsys, "seq", "--family", "narayana-conv", "--k", str(k), "--n-max", "20",
+        "--t-eval", "1",
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        f"{n}: {k * comb(2 * n + k - 1, n) // (n + k)}" for n in range(21)
+    ]
 
 
 def test_hankel_single_size(capsys):

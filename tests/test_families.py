@@ -22,6 +22,7 @@ from catalan_hankel import (
 
 from catalan_hankel import families
 from oracles import (
+    ballot_prefix,
     catalan_by_recurrence,
     convolve,
     list_power,
@@ -99,9 +100,9 @@ def test_mixed_power_series_brute_force():
 
 
 def test_mixed_powers_collapse_to_catalan_conv_at_one():
-    for k in range(1, 7):
-        for n in range(10):
-            assert narayana_conv(k, n)(1) == catalan_conv(k, n)
+    for k in (*range(1, 7), 99999, 100000):
+        for n in range(41):
+            assert narayana_conv(k, n)(1) == catalan_conv(k, n), (k, n)
 
 
 def test_narayana_conv_against_convolution_oracle():
@@ -114,26 +115,22 @@ def test_narayana_conv_against_convolution_oracle():
 
 
 def test_narayana_conv_independent_of_query_order():
-    cache = families.narayana_prefix
-    cache.cache_clear()
     descending = [narayana_conv(5, n) for n in range(30, -1, -1)]
-    cache.cache_clear()
     ascending = [narayana_conv(5, n) for n in range(31)]
     assert descending[::-1] == ascending
 
 
-def test_narayana_prefix_cache_is_bounded():
-    cache = families.narayana_prefix
-    for k in range(1, 101):
-        narayana_conv(k, 3)
-        assert cache.cache_info().currsize <= families.NARAYANA_PREFIX_KS
-    assert cache.cache_info().currsize == families.NARAYANA_PREFIX_KS
-    # the newest k stays and a shorter read of it is a hit; the oldest is gone
-    info = cache.cache_info()
-    narayana_conv(100, 2)
-    assert cache.cache_info()[:2] == (info.hits + 1, info.misses)
-    narayana_conv(1, 0)
-    assert cache.cache_info().misses == info.misses + 1
+def test_narayana_conv_closed_form_against_ballot_recurrence():
+    for k in range(1, 41):
+        assert [narayana_conv(k, n) for n in range(40)] == ballot_prefix(k, 40), k
+    assert [narayana_conv(1000, n) for n in range(12)] == ballot_prefix(1000, 12)
+
+
+def test_families_caches_are_bounded():
+    caches = [v for v in vars(families).values() if hasattr(v, "cache_info")]
+    assert caches
+    for fn in caches:
+        assert fn.cache_info().maxsize is not None, fn
 
 
 def test_mixed_power_series_at_large_power():

@@ -34,7 +34,7 @@ from .families import (
     narayana_series_weighted,
 )
 from .hankel import (
-    SquareMatrix,
+    HankelMatrix,
     catalan_det,
     catalan_dets,
     det_fraction_free,
@@ -62,10 +62,10 @@ __all__ = [
     "EnumerationCapError",
     "ExactDivisionError",
     "Family",
+    "HankelMatrix",
     "INTEGER_RING",
     "POLY_RING",
     "Series",
-    "SquareMatrix",
     "T",
     "TruncationError",
     "UniPoly",

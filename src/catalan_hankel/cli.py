@@ -23,7 +23,7 @@ from .paths import (
     path_weight,
     path_weight_sum_table,
 )
-from .polyring import INTEGER_RING, ExactDivisionError, UniPoly
+from .polyring import INTEGER_RING, ExactDivisionError
 from .report import encode_value, render_value, summarize
 from .series import TruncationError
 from .verify import DEFAULT_SEED, SUITE_ORDER, run_suite
@@ -64,12 +64,14 @@ def _emit_rows(rows, fmt: str) -> None:
             print(f"{n}: {render_value(v)}")
 
 
+def _check_t_eval(family: Family, t_eval) -> None:
+    """Refuse --t-eval for an integer family before any entry is read."""
+    if t_eval is not None and family.ring is INTEGER_RING:
+        raise ValueError("--t-eval only applies to polynomial-valued output")
+
+
 def _maybe_eval(value, t_eval):
-    if t_eval is None:
-        return value
-    if isinstance(value, UniPoly):
-        return value(t_eval)
-    raise ValueError("--t-eval only applies to polynomial-valued output")
+    return value if t_eval is None else value(t_eval)
 
 
 def _parse_sizes(text: str) -> list[int]:
@@ -87,9 +89,9 @@ def _cmd_seq(args) -> int:
     if args.n_max < 0:
         raise ValueError(f"--n-max {args.n_max} must be >= 0")
     family = Family(args.family, args.k)
-    rows = []
-    for n in range(args.n_max + 1):
-        rows.append((n, _maybe_eval(family.value(n), args.t_eval)))
+    _check_t_eval(family, args.t_eval)
+    # A generator, so each row is printed before the next is computed.
+    rows = ((n, _maybe_eval(family.value(n), args.t_eval)) for n in range(args.n_max + 1))
     _emit_rows(rows, args.format)
     return 0
 
@@ -100,16 +102,14 @@ def _cmd_hankel(args) -> int:
     _check_limits(args.family, k=args.k, shift=args.shift, sizes=sizes[-1])
     if any(s < 0 for s in sizes):
         raise ValueError("matrix sizes must be >= 0")
+    if args.matrix and len(sizes) != 1:
+        raise ValueError("--matrix wants exactly one size")
+    _check_t_eval(family, args.t_eval)
     if args.matrix:
-        if len(sizes) != 1:
-            raise ValueError("--matrix wants exactly one size")
         m = hankel_matrix(family.ring, family.value, args.shift, sizes[0])
         rows = [[_maybe_eval(v, args.t_eval) for v in row] for row in m.rows]
         print(json.dumps({"n": m.n, "rows": encode_value(rows)}, separators=(",", ":")))
         return 0
-    if args.t_eval is not None and family.ring is INTEGER_RING:
-        # refused before the sweep rather than after it
-        raise ValueError("--t-eval only applies to polynomial-valued output")
     # The sizes are one contiguous range, read from one sweep of the largest.
     dets = family_dets(family, args.shift, sizes[-1])
     rows = [(size, _maybe_eval(dets[size], args.t_eval)) for size in sizes]

@@ -1,14 +1,15 @@
 """The sequence and polynomial families whose Hankel determinants we study.
 
 Integer side
-    ``catalan(n)``          1, 1, 2, 5, 14, 42, ...
+    ``catalan(n)``          1, 1, 2, 5, 14, 42, ...; catalan_conv(1, n).
     ``catalan_conv(k, n)``  coefficient of x^n in c(x)^k, where c is the
                             Catalan generating function; closed form
                             k/(n+k) * C(2n+k-1, n), an integer for all k >= 1.
 
 Polynomial side (weight variable t)
-    ``narayana(n)``         the Narayana polynomial C_n(t); at t=1 it
-                            collapses to catalan(n).
+    ``narayana(n)``         the Narayana polynomial C_n(t), that is
+                            narayana_conv(1, n); at t=1 it collapses to
+                            catalan(n).
     ``narayana_series(order)``           c0(x,t) = sum C_n(t) x^n
     ``narayana_series_weighted(order)``  c1(x,t) = 1 + t * sum_{n>=1} C_n(t) x^n
     ``mixed_power_series(k, order)``     alternating product
@@ -44,9 +45,8 @@ from .series import Series
 
 
 def catalan(n: int) -> int:
-    if n < 0:
-        return 0
-    return comb(2 * n, n) // (n + 1)
+    """The n-th Catalan number, catalan_conv(1, n)."""
+    return catalan_conv(1, n)
 
 
 def catalan_conv(k: int, n: int) -> int:
@@ -63,16 +63,9 @@ def catalan_series(order: int) -> Series:
     return Series(INTEGER_RING, [catalan(n) for n in range(order)])
 
 
-@lru_cache(maxsize=1024)
 def narayana(n: int) -> UniPoly:
-    """Narayana polynomial: sum over k of C(n,k) C(n-1,k) / (k+1) * t^k."""
-    if n < 0:
-        return UniPoly()
-    if n == 0:
-        return UniPoly((1,))
-    return UniPoly(
-        [comb(n, k) * comb(n - 1, k) // (k + 1) for k in range(n)]
-    )
+    """The Narayana polynomial C_n(t), narayana_conv(1, n)."""
+    return narayana_conv(1, n)
 
 
 @lru_cache(maxsize=32)

@@ -19,46 +19,41 @@ from .families import CATALAN_CONV, NARAYANA_CONV, Family
 
 
 @dataclass(frozen=True)
-class SquareMatrix:
-    """A square matrix over a coefficient ring."""
+class HankelMatrix:
+    """An N x N Hankel matrix over a coefficient ring, stored as its
+    defining sequence a(0..2N-2): entry (i, j) is seq[i + j].  The empty
+    matrix has the empty sequence."""
 
     ring: _Ring
-    rows: tuple[tuple[Scalar, ...], ...]
+    seq: tuple[Scalar, ...]
 
     def __post_init__(self):
-        n = len(self.rows)
-        if any(len(r) != n for r in self.rows):
-            raise ValueError("matrix rows must form a square")
+        if len(self.seq) % 2 == 0 and self.seq:
+            raise ValueError(f"a Hankel sequence has odd length 2N - 1, not {len(self.seq)}")
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return (len(self.seq) + 1) // 2
+
+    @property
+    def rows(self) -> tuple[tuple[Scalar, ...], ...]:
+        """The N rows; row i is the window of N values from seq[i]."""
+        n = self.n
+        return tuple(self.seq[i : i + n] for i in range(n))
 
 
 def hankel_matrix(
     ring: _Ring, seq: Callable[[int], Scalar], shift: int, size: int
-) -> SquareMatrix:
-    """N x N matrix over ``ring`` with entry(i, j) = seq(i + j + shift).
+) -> HankelMatrix:
+    """N x N Hankel matrix over ``ring`` with entry(i, j) = seq(i + j + shift).
 
     The shift may be negative; the sequence callback is expected to return
     its ring's zero for negative indices.  The callback is called once per
-    distinct index, 2N - 1 times in ascending order, and row i is the
-    window of N values starting at its i-th value.
+    distinct index, 2N - 1 times in ascending order.
     """
     if size < 0:
         raise ValueError(f"matrix size {size} must be >= 0")
-    values = [seq(m) for m in range(shift, shift + 2 * size - 1)]
-    return SquareMatrix(ring, tuple(tuple(values[i : i + size]) for i in range(size)))
-
-
-def _defining_sequence(m: SquareMatrix) -> list[Scalar]:
-    """The sequence a(0..2N-2) with entry (i, j) = a(i + j): the first row,
-    then the last column.  Raises ValueError if the matrix is not Hankel."""
-    n = m.n
-    a = list(m.rows[0]) + [row[-1] for row in m.rows[1:]] if n else []
-    if any(row != tuple(a[i : i + n]) for i, row in enumerate(m.rows)):
-        raise ValueError("matrix is not Hankel: entry (i, j) must depend on i + j only")
-    return a
+    return HankelMatrix(ring, tuple(seq(m) for m in range(shift, shift + 2 * size - 1)))
 
 
 def _pseudo_remainder(a: list, deg_a: int, b: list, deg_b: int, floor: int) -> list:
@@ -79,7 +74,7 @@ def _pseudo_remainder(a: list, deg_a: int, b: list, deg_b: int, floor: int) -> l
     return r
 
 
-def leading_minors(m: SquareMatrix) -> list[Scalar]:
+def leading_minors(m: HankelMatrix) -> list[Scalar]:
     """Every leading principal minor [D(0), ..., D(N)] of a Hankel matrix.
 
     With a(0..2N-2) the defining sequence, M = 2N - 1, F = x^M and
@@ -99,11 +94,10 @@ def leading_minors(m: SquareMatrix) -> list[Scalar]:
     of formal index j is kept at degrees >= 2(N-1) - j, cut before its
     exact division because the dropped tail is not divisible.  The sweep
     then costs O(N^2) ring operations.  Each D(n) equals, in value and
-    type, the determinant of the leading n x n block.  Raises ValueError
-    if the matrix is not Hankel.
+    type, the determinant of the leading n x n block.
     """
     size = m.n
-    b = _defining_sequence(m)
+    b = list(m.seq)
     one = m.ring.one
     minors: list[Scalar] = [one] + [m.ring.zero] * size
     top = 2 * size - 1
@@ -135,7 +129,7 @@ def leading_minors(m: SquareMatrix) -> list[Scalar]:
     return minors
 
 
-def det_fraction_free(m: SquareMatrix) -> Scalar:
+def det_fraction_free(m: HankelMatrix) -> Scalar:
     """Exact determinant: the last of :func:`leading_minors`.
 
     The empty matrix has determinant the ring's one; a singular matrix

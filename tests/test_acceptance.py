@@ -9,7 +9,7 @@ import random
 from catalan_hankel import (
     INTEGER_RING,
     POLY_RING,
-    SquareMatrix,
+    HankelMatrix,
     UniPoly,
     catalan_det,
     det_fraction_free,
@@ -192,15 +192,13 @@ def test_10_determinant_oracle_agreement():
         a = [rng.randint(-9, 9) for _ in range(max(0, 2 * n - 1))]
         if n >= 2 and rng.random() < 0.2:
             a = _make_singular(a, n)  # exact singular case
-        rows = _hankel_rows(a, n)
-        m = SquareMatrix(INTEGER_RING, tuple(tuple(r) for r in rows))
-        ok = ok and det_fraction_free(m) == cofactor_det(rows)
+        m = HankelMatrix(INTEGER_RING, tuple(a))
+        ok = ok and det_fraction_free(m) == cofactor_det(_hankel_rows(a, n))
     for _ in range(100):
         n = rng.randint(1, 4)
         a = [UniPoly([rng.randint(-5, 5) for _ in range(3)]) for _ in range(2 * n - 1)]
         if n >= 2 and rng.random() < 0.2:
             a = _make_singular(a, n)
-        rows = _hankel_rows(a, n)
-        m = SquareMatrix(POLY_RING, tuple(tuple(r) for r in rows))
-        ok = ok and det_fraction_free(m) == cofactor_det(rows)
+        m = HankelMatrix(POLY_RING, tuple(a))
+        ok = ok and det_fraction_free(m) == cofactor_det(_hankel_rows(a, n))
     _criterion(10, "Hankel minors vs cofactor determinants", ok)

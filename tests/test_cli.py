@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import sys
 from math import comb
@@ -72,6 +73,25 @@ def test_seq_t_eval_collapses_to_integers(capsys):
     )
     assert code == 0
     assert out.splitlines() == ["0: 1", "1: 2", "2: 5", "3: 14", "4: 42"]
+
+
+@pytest.mark.parametrize("fmt, header", [("plain", 0), ("csv", 1), ("json", 0)])
+def test_seq_prints_each_row_before_computing_the_next(monkeypatch, fmt, header):
+    out = io.StringIO()
+    rows_written = []
+    value = families.Family.value
+
+    def spy(self, n):
+        rows_written.append(len(out.getvalue().splitlines()) - header)
+        return value(self, n)
+
+    monkeypatch.setattr(families.Family, "value", spy)
+    monkeypatch.setattr(sys, "stdout", out)
+    argv = ["seq", "--family", "narayana-conv", "--k", "3", "--n-max", "5", "--format", fmt]
+    assert main(argv) == 0
+    # value(n) finds rows 0..n-1 already written
+    assert rows_written == list(range(6))
+    assert len(out.getvalue().splitlines()) == 6 + header
 
 
 def test_seq_t_eval_rejected_for_integers(capsys):
@@ -247,12 +267,19 @@ def test_hankel_matrix_output(capsys):
         "--sizes", "3", "--matrix", "--t-eval", "2",
     )
     assert (code, out) == (0, '{"n":3,"rows":[[0,1,4],[1,4,17],[4,17,76]]}\n')
-    code, out, err = run_cli(
-        capsys, "hankel", "--family", "catalan-conv", "--k", "2", "--sizes", "3",
-        "--matrix", "--t-eval", "1",
+    code, out, _ = run_cli(
+        capsys, "hankel", "--family", "narayana-conv", "--k", "3", "--sizes", "0",
+        "--matrix", "--t-eval", "2",
     )
-    assert (code, out) == (2, "")
-    assert err == "error: --t-eval only applies to polynomial-valued output\n"
+    assert (code, out) == (0, '{"n":0,"rows":[]}\n')
+    # An integer family refuses --t-eval at every size, the empty matrix too.
+    for size in ("3", "0"):
+        code, out, err = run_cli(
+            capsys, "hankel", "--family", "catalan-conv", "--k", "2", "--sizes", size,
+            "--matrix", "--t-eval", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --t-eval only applies to polynomial-valued output\n"
 
 
 def test_hankel_bad_range(capsys):

@@ -39,7 +39,7 @@ def test_catalan_against_recurrence():
 
 
 def test_catalan_conv_closed_form_against_convolution():
-    base = [catalan(n) for n in range(12)]
+    base = catalan_by_recurrence(12)
     for k in range(1, 7):
         brute = list_power(base, k)
         assert [catalan_conv(k, n) for n in range(12)] == brute
@@ -72,8 +72,8 @@ def test_narayana_printed_values():
 
 
 def test_narayana_collapses_to_catalan_at_one():
-    for n in range(12):
-        assert narayana(n)(1) == catalan(n)
+    for n, c in enumerate(catalan_by_recurrence(12)):
+        assert narayana(n)(1) == c
 
 
 def test_weighted_series_definition():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from catalan_hankel import (
     INTEGER_RING,
     POLY_RING,
-    SquareMatrix,
+    HankelMatrix,
     UniPoly,
     catalan_conv,
     catalan_det,
@@ -34,26 +34,30 @@ def rand_poly(rng, deg=2, bound=5):
 
 def from_sequence(ring, a):
     """The Hankel matrix whose defining sequence a(0..2N-2) is ``a``."""
-    n = (len(a) + 1) // 2
-    return SquareMatrix(ring, tuple(tuple(a[i : i + n]) for i in range(n)))
+    return HankelMatrix(ring, tuple(a))
 
 
 def oracle_det(rows, one=1):
     return sweep_minors(rows, one)[-1]
 
 
-def test_square_matrix_validation():
-    with pytest.raises(ValueError):
-        SquareMatrix(INTEGER_RING, ((1, 2), (3,)))
-    m = SquareMatrix(INTEGER_RING, ((1, 2), (3, 4)))
+def test_hankel_matrix_validation():
+    for even in ((1, 2), (1, 2, 3, 4)):
+        with pytest.raises(ValueError):
+            HankelMatrix(INTEGER_RING, even)
+    m = HankelMatrix(INTEGER_RING, (1, 2, 3))
     assert m.n == 2 and m.ring is INTEGER_RING
-    assert m.rows[1][0] == 3
-    assert encode_value(m.rows) == [[1, 2], [3, 4]]
+    assert m.rows == ((1, 2), (2, 3))
+    assert encode_value(m.rows) == [[1, 2], [2, 3]]
+    empty = HankelMatrix(INTEGER_RING, ())
+    assert empty.n == 0 and empty.rows == ()
+    single = HankelMatrix(INTEGER_RING, (7,))
+    assert single.n == 1 and single.rows == ((7,),)
 
 
 def test_matrix_json_with_polynomials():
-    m = SquareMatrix(POLY_RING, ((UniPoly((1, 1)), UniPoly()), (UniPoly((0, 2)), UniPoly((3,)))))
-    assert encode_value(m.rows) == [[[1, 1], []], [[0, 2], [3]]]
+    m = HankelMatrix(POLY_RING, (UniPoly((1, 1)), UniPoly(), UniPoly((3,))))
+    assert encode_value(m.rows) == [[[1, 1], []], [[], [3]]]
 
 
 def test_hankel_matrix_layout():
@@ -69,35 +73,27 @@ def test_det_base_cases():
     assert oracle_det(()) == 1
     assert oracle_det(((7,),)) == 7
     assert oracle_det(((1, 2), (3, 4))) == -2
-    assert det_fraction_free(SquareMatrix(INTEGER_RING, ())) == 1
-    assert det_fraction_free(SquareMatrix(INTEGER_RING, ((7,),))) == 7
-    assert det_fraction_free(SquareMatrix(INTEGER_RING, ((1, 2), (2, 3)))) == -1
-
-
-def test_non_hankel_matrix_rejected():
-    m = SquareMatrix(INTEGER_RING, ((1, 2), (3, 4)))
-    with pytest.raises(ValueError):
-        leading_minors(m)
-    with pytest.raises(ValueError):
-        det_fraction_free(m)
+    assert det_fraction_free(HankelMatrix(INTEGER_RING, ())) == 1
+    assert det_fraction_free(HankelMatrix(INTEGER_RING, (7,))) == 7
+    assert det_fraction_free(HankelMatrix(INTEGER_RING, (1, 2, 3))) == -1
 
 
 def test_minors_start_from_the_ring_one():
     one = UniPoly((1,))
     sweep = hankel_matrix(POLY_RING, lambda n: narayana_conv(3, n), -1, 4)
     for d in (
-        det_fraction_free(SquareMatrix(POLY_RING, ())),
+        det_fraction_free(HankelMatrix(POLY_RING, ())),
         leading_minors(sweep)[0],
         narayana_dets(2, 0, 0)[0],
     ):
         assert type(d) is UniPoly and d == one
-    assert type(det_fraction_free(SquareMatrix(INTEGER_RING, ()))) is int
+    assert type(det_fraction_free(HankelMatrix(INTEGER_RING, ()))) is int
 
 
 def test_det_zero_pivot_row_swap():
-    m = SquareMatrix(INTEGER_RING, ((0, 1), (1, 0)))
+    m = HankelMatrix(INTEGER_RING, (0, 1, 0))
     assert det_fraction_free(m) == -1
-    m = SquareMatrix(INTEGER_RING, ((0, 0, 1), (0, 1, 0), (1, 0, 0)))
+    m = HankelMatrix(INTEGER_RING, (0, 0, 1, 0, 0))
     assert det_fraction_free(m) == -1
 
 
@@ -117,8 +113,8 @@ def test_det_singular_exactly_zero():
     assert type(d) is UniPoly and d == UniPoly()
 
 
-def leading_blocks(m):
-    return [[list(row[:i]) for row in m.rows[:i]] for i in range(m.n + 1)]
+def leading_blocks(rows):
+    return [[list(row[:i]) for row in rows[:i]] for i in range(len(rows) + 1)]
 
 
 def hankel_matrices(ring, entries, n_max):
@@ -144,21 +140,24 @@ def hankel_matrices(ring, entries, n_max):
     return st.integers(0, n_max).flatmap(sequences).map(lambda a: from_sequence(ring, a))
 
 
-def square(ring, entries, n_max):
+def square(entries, n_max):
+    """General square matrices as plain row tuples, for the oracles."""
     return st.integers(0, n_max).flatmap(
         lambda n: st.lists(
             st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
-        ).map(lambda rows: SquareMatrix(ring, tuple(map(tuple, rows))))
+        ).map(lambda rows: tuple(map(tuple, rows)))
     )
 
 
-def assert_det_matches_cofactor(general, hankel_m):
+def assert_det_matches_cofactor(general, one, hankel_m):
     """The sweep oracle on a general matrix and the library on a Hankel one,
     both against cofactor expansion."""
     expected = [cofactor_det(block) for block in leading_blocks(general)]
-    assert sweep_minors(general.rows, general.ring.one) == expected
+    assert sweep_minors(general, one) == expected
     assert det_fraction_free(hankel_m) == cofactor_det([list(r) for r in hankel_m.rows])
-    assert leading_minors(hankel_m) == [cofactor_det(block) for block in leading_blocks(hankel_m)]
+    assert leading_minors(hankel_m) == [
+        cofactor_det(block) for block in leading_blocks(hankel_m.rows)
+    ]
 
 
 DENSE_INT = st.integers(-9, 9)
@@ -166,15 +165,15 @@ DENSE_POLY = st.lists(st.integers(-5, 5), min_size=3, max_size=3).map(UniPoly)
 
 
 @PROPERTY
-@given(square(INTEGER_RING, DENSE_INT, 6), hankel_matrices(INTEGER_RING, DENSE_INT, 6))
+@given(square(DENSE_INT, 6), hankel_matrices(INTEGER_RING, DENSE_INT, 6))
 def test_det_against_cofactor_oracle_int(m, h):
-    assert_det_matches_cofactor(m, h)
+    assert_det_matches_cofactor(m, INTEGER_RING.one, h)
 
 
 @PROPERTY
-@given(square(POLY_RING, DENSE_POLY, 4), hankel_matrices(POLY_RING, DENSE_POLY, 4))
+@given(square(DENSE_POLY, 4), hankel_matrices(POLY_RING, DENSE_POLY, 4))
 def test_det_against_cofactor_oracle_poly(m, h):
-    assert_det_matches_cofactor(m, h)
+    assert_det_matches_cofactor(m, POLY_RING.one, h)
 
 
 def test_det_commutes_with_evaluation():
@@ -186,7 +185,7 @@ def test_det_commutes_with_evaluation():
         at_two = [[e(2) for e in row] for row in rows]
         assert oracle_det(rows, one)(2) == oracle_det(at_two)
         m = from_sequence(POLY_RING, [rand_poly(rng) for _ in range(2 * n - 1)])
-        at_two = SquareMatrix(INTEGER_RING, tuple(tuple(e(2) for e in row) for row in m.rows))
+        at_two = HankelMatrix(INTEGER_RING, tuple(e(2) for e in m.seq))
         assert det_fraction_free(m)(2) == det_fraction_free(at_two)
 
 
@@ -231,22 +230,24 @@ def test_power_and_size_checked_before_any_entry(fn, k, size):
         fn(k, 0, size)
 
 
-def assert_minors_match_per_size(m, minors=None):
-    """``minors`` (by default the library's) against one elimination per
+def assert_minors_match_per_size(rows, one, minors):
+    """``minors`` of the matrix ``rows`` against one elimination per
     leading block, in value and type."""
-    if minors is None:
-        minors = leading_minors(m)
-    assert len(minors) == m.n + 1
-    for i, block in enumerate(leading_blocks(m)):
-        expected = per_size_det(block, m.ring.one)
-        assert minors[i] == expected and type(minors[i]) is type(expected), (i, m)
+    assert len(minors) == len(rows) + 1
+    for i, block in enumerate(leading_blocks(rows)):
+        expected = per_size_det(block, one)
+        assert minors[i] == expected and type(minors[i]) is type(expected), (i, rows)
+
+
+def assert_library_minors_match_per_size(m):
+    assert_minors_match_per_size(m.rows, m.ring.one, leading_minors(m))
 
 
 def test_leading_minors_match_per_size_catalan_grid():
     for k in range(1, 10):
         for shift in range(-6, 3):
             m = hankel_matrix(INTEGER_RING, lambda n: catalan_conv(k, n), shift, 30)
-            assert_minors_match_per_size(m)
+            assert_library_minors_match_per_size(m)
             assert catalan_dets(k, shift, 30) == leading_minors(m)
 
 
@@ -254,7 +255,7 @@ def test_leading_minors_match_per_size_narayana_grid():
     for k in range(1, 7):
         for shift in range(-3, 2):
             m = hankel_matrix(POLY_RING, lambda n: narayana_conv(k, n), shift, 9)
-            assert_minors_match_per_size(m)
+            assert_library_minors_match_per_size(m)
             dets = narayana_dets(k, shift, 9)
             assert all(type(d) is UniPoly for d in dets)
             assert dets == leading_minors(m)
@@ -265,25 +266,26 @@ SPARSE_POLY = st.lists(st.integers(-3, 3) | st.just(0), max_size=3).map(UniPoly)
 
 
 @PROPERTY
-@given(square(INTEGER_RING, SPARSE_INT, 8), hankel_matrices(INTEGER_RING, SPARSE_INT, 8))
+@given(square(SPARSE_INT, 8), hankel_matrices(INTEGER_RING, SPARSE_INT, 8))
 def test_leading_minors_match_per_size_sparse_int(m, h):
-    assert_minors_match_per_size(m, sweep_minors(m.rows, m.ring.one))
-    assert_minors_match_per_size(h)
+    assert_minors_match_per_size(m, 1, sweep_minors(m, 1))
+    assert_library_minors_match_per_size(h)
 
 
 @PROPERTY
-@given(square(POLY_RING, SPARSE_POLY, 4), hankel_matrices(POLY_RING, SPARSE_POLY, 4))
+@given(square(SPARSE_POLY, 4), hankel_matrices(POLY_RING, SPARSE_POLY, 4))
 def test_leading_minors_match_per_size_sparse_poly(m, h):
-    assert_minors_match_per_size(m, sweep_minors(m.rows, m.ring.one))
-    assert_minors_match_per_size(h)
+    one = POLY_RING.one
+    assert_minors_match_per_size(m, one, sweep_minors(m, one))
+    assert_library_minors_match_per_size(h)
 
 
 def assert_minors_match_every_oracle(m):
-    minors = leading_minors(m)
-    assert_minors_match_per_size(m, minors)
-    swept = sweep_minors(m.rows, m.ring.one)
+    minors, rows = leading_minors(m), m.rows
+    assert_minors_match_per_size(rows, m.ring.one, minors)
+    swept = sweep_minors(rows, m.ring.one)
     assert minors == swept and list(map(type, minors)) == list(map(type, swept))
-    for d, block in list(zip(minors, leading_blocks(m)))[1:7]:
+    for d, block in list(zip(minors, leading_blocks(rows)))[1:7]:
         expected = cofactor_det(block)
         assert d == expected and type(d) is type(expected)
 

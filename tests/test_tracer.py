@@ -2,7 +2,9 @@
 
 ``perfbench/`` lies outside the tier-1 test paths, so a change that deletes
 or renames a wrapped name would only show there.  This test installs the
-tracer in a fresh process and serves one small request through it.
+tracer in a fresh process and serves two small requests through it: a
+``hankel`` sweep, and a ``verify`` suite whose duality checks take single
+determinants.
 """
 
 import json
@@ -20,10 +22,19 @@ from catalan_hankel import cli
 
 tracer = Tracer("x")
 tracer.install()
-argv = ["hankel", "--family", "narayana-conv", "--k", "3", "--shift", "-1", "--sizes", "0..4"]
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(argv)
-print(json.dumps({"code": code, "spans": sorted({span[0] for span in tracer.spans})}))
+requests = [
+    ["hankel", "--family", "narayana-conv", "--k", "3", "--shift", "-1", "--sizes", "0..4"],
+    ["verify", "--suite", "lemma"],
+]
+results = []
+for argv in requests:
+    del tracer.spans[:]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    results.append({"code": code, "spans": sorted({span[0] for span in tracer.spans})})
+metrics = tracer.layer_metrics()
+results.append({k: metrics[k] for k in ("hankel.det_calls", "hankel.det_size_max")})
+print(json.dumps(results))
 """
 
 
@@ -35,6 +46,10 @@ def test_tracer_installs_and_sees_the_layers():
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
-    assert result["code"] == 0
-    assert {"cli.request", "hankel.build", "families.entry"} <= set(result["spans"])
+    sweep, lemma, det = json.loads(proc.stdout)
+    assert sweep["code"] == 0
+    assert {"cli.request", "hankel.build", "families.entry"} <= set(sweep["spans"])
+    assert lemma["code"] == 0
+    assert {"cli.request", "verify.lemma", "hankel.build", "hankel.det"} <= set(lemma["spans"])
+    # the det note reads the matrix size
+    assert det["hankel.det_calls"] > 0 and det["hankel.det_size_max"] > 0

@@ -1,6 +1,6 @@
 import pytest
 
-from catalan_hankel import UniPoly, catalan, families, hankel, summarize
+from catalan_hankel import UniPoly, families, hankel, summarize
 from catalan_hankel.verify import (
     COMPANION_T_TABLE,
     check_corollaries,
@@ -21,7 +21,7 @@ from catalan_hankel.verify import (
     unit_det_rows,
 )
 
-from oracles import list_power
+from oracles import catalan_by_recurrence, list_power
 
 
 def assert_all_pass(reports):
@@ -225,4 +225,4 @@ def test_structured_duality_uses_catalan_powers():
     last = reports[-1]
     assert last.params["series"] == "catalan^2"
     coeffs = last.params["s"]
-    assert coeffs == list_power([catalan(n) for n in range(len(coeffs))], 2)
+    assert coeffs == list_power(catalan_by_recurrence(len(coeffs)), 2)

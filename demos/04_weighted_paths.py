@@ -5,18 +5,19 @@ n-th mixed Narayana convolution power, giving the polynomials a direct
 combinatorial meaning.
 '''
 from catalan_hankel import (
+    UniPoly,
     enumerate_paths,
     narayana_conv,
-    path_weight,
     path_weight_sum,
     path_weight_sum_table,
     render_poly,
 )
 
-# list every path of length 5 ending at height 1, with its weight
+# list every path of length 5 ending at height 1 by its running heights,
+# with its weight t^(down steps landing at odd height)
 print("paths of length 5 to height 1")
-for steps in enumerate_paths(5, 1):
-    print(f"  {steps}: {render_poly(path_weight(steps))}")
+for heights, odd_downs in enumerate_paths(5, 1):
+    print(f"  {heights}: {render_poly(UniPoly.monomial(odd_downs))}")
 
 print()
 print("weighted totals vs convolution coefficients")

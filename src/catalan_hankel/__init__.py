@@ -47,8 +47,6 @@ from .paths import (
     EnumerationCapError,
     check_path_weight_identity,
     enumerate_paths,
-    path_heights,
-    path_weight,
     path_weight_sum,
     path_weight_sum_table,
 )
@@ -92,8 +90,6 @@ __all__ = [
     "narayana_dets",
     "narayana_series",
     "narayana_series_weighted",
-    "path_heights",
-    "path_weight",
     "path_weight_sum",
     "path_weight_sum_table",
     "render_poly",

@@ -16,14 +16,8 @@ import sys
 
 from .families import CATALAN_CONV, FAMILY_KINDS, NARAYANA_CONV, Family
 from .hankel import family_dets, hankel_matrix
-from .paths import (
-    DEFAULT_CAP,
-    enumerate_paths,
-    path_heights,
-    path_weight,
-    path_weight_sum_table,
-)
-from .polyring import INTEGER_RING, ExactDivisionError
+from .paths import DEFAULT_CAP, enumerate_paths, path_weight_sum_table
+from .polyring import INTEGER_RING, ExactDivisionError, UniPoly
 from .report import encode_value, render_value, summarize
 from .series import TruncationError
 from .verify import DEFAULT_SEED, SUITE_ORDER, run_suite
@@ -74,14 +68,15 @@ def _maybe_eval(value, t_eval):
     return value if t_eval is None else value(t_eval)
 
 
-def _parse_sizes(text: str) -> list[int]:
+def _parse_sizes(text: str) -> range:
     if ".." in text:
         lo, hi = text.split("..", 1)
         start, stop = int(lo), int(hi)
         if stop < start:
             raise ValueError(f"empty size range {text!r}")
-        return list(range(start, stop + 1))
-    return [int(text)]
+        return range(start, stop + 1)
+    size = int(text)
+    return range(size, size + 1)
 
 
 def _cmd_seq(args) -> int:
@@ -100,7 +95,7 @@ def _cmd_hankel(args) -> int:
     family = Family(args.family, args.k)
     sizes = _parse_sizes(args.sizes)
     _check_limits(args.family, k=args.k, shift=args.shift, sizes=sizes[-1])
-    if any(s < 0 for s in sizes):
+    if sizes[0] < 0:
         raise ValueError("matrix sizes must be >= 0")
     if args.matrix and len(sizes) != 1:
         raise ValueError("--matrix wants exactly one size")
@@ -132,9 +127,8 @@ def _cmd_verify(args) -> int:
 def _cmd_paths(args) -> int:
     _check_limits("paths", length=args.length, cap=args.cap)
     if args.list:
-        for path in enumerate_paths(args.length, args.height, args.cap):
-            heights = path_heights(path)
-            weight = path_weight(path)
+        for heights, odd_downs in enumerate_paths(args.length, args.height, args.cap):
+            weight = UniPoly.monomial(odd_downs)
             if args.format == "json":
                 print(
                     json.dumps(

@@ -7,13 +7,15 @@ ballot numbers: summing with t = 1 counts the paths, and the weight sum for
 paths of length 2n + k - 1 ending at height k - 1 equals the n-th
 coefficient of the k-th mixed convolution power.
 
-Enumeration is depth-first with no path storage when only the weight sum is
-needed; an explicit cap on the step count keeps the exponential walk in
-check.  The table form of the weight sum, read from the closed form of
+Enumeration is one depth-first walk that yields each path with its weight
+as it is found; an explicit cap on the step count keeps the exponential walk
+in check.  The table form of the weight sum, read from the closed form of
 ``narayana_conv``, has no cap.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from .polyring import UniPoly
 from .report import CheckReport, equal_report
@@ -37,79 +39,59 @@ def _guard(length: int, height: int, cap: int):
         )
 
 
-def enumerate_paths(length: int, height: int, cap: int = DEFAULT_CAP) -> list[tuple[int, ...]]:
-    """All step sequences of the given length ending at the given height.
+def enumerate_paths(
+    length: int, height: int, cap: int = DEFAULT_CAP
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every path of the given length ending at the given height, lazily.
 
-    Paths are emitted in lexicographic order with up before down.
+    Yields ``(heights, odd_downs)``: the running heights after each step and
+    the number of down steps that land at odd height, so the path weighs
+    t^odd_downs.  Paths come in lexicographic order of their steps, up
+    before down.  The arguments are checked here, at the call, not at the
+    first ``next``.
     """
     _guard(length, height, cap)
-    out: list[tuple[int, ...]] = []
+    return _walk(length, height)
+
+
+def _walk(length: int, height: int) -> Iterator[tuple[tuple[int, ...], int]]:
     if height > length or (length - height) % 2:
-        return out
-    steps: list[int] = []
-
-    def walk(pos: int, h: int):
-        if pos == length:
-            out.append(tuple(steps))
-            return
-        rem = length - pos - 1
-        for step in (1, -1):
-            nh = h + step
-            if nh < 0 or abs(height - nh) > rem:
-                continue
-            steps.append(step)
-            walk(pos + 1, nh)
-            steps.pop()
-
-    walk(0, 0)
-    return out
-
-
-def path_heights(path: tuple[int, ...]) -> tuple[int, ...]:
-    """Running heights after each step; raises if the path dips below 0."""
-    h = 0
-    heights = []
-    for step in path:
-        if step not in (1, -1):
-            raise ValueError(f"invalid step {step!r}; steps are +1 or -1")
-        h += step
-        if h < 0:
-            raise ValueError("path dips below the axis")
-        heights.append(h)
-    return tuple(heights)
-
-
-def path_weight(path: tuple[int, ...]) -> UniPoly:
-    """t^(number of down steps landing at odd height)."""
-    heights = path_heights(path)
-    odd_downs = sum(1 for step, h in zip(path, heights) if step < 0 and h % 2)
-    return UniPoly.monomial(odd_downs)
+        return
+    if length == 0:
+        yield (), 0
+        return
+    last = length - 1
+    final_nu = height % 2  # an odd-down count added by a last step down
+    heights = [0] * length
+    heights[last] = height
+    # (pos, h, nu): after pos steps the walk is at height h with nu odd
+    # landings.  A popped state writes heights[pos - 1]; the entries before
+    # it were written by its ancestors.  Down is pushed first, so up pops
+    # first.  A child must stay within `rem` of `height`; only the side it
+    # moved towards needs checking, the parent's bound covers the other.
+    stack = [(0, 0, 0)]
+    while stack:
+        pos, h, nu = stack.pop()
+        if pos:
+            heights[pos - 1] = h
+        if pos == last:
+            # One step is left and it must land at `height`.
+            yield tuple(heights), (nu + final_nu if h > height else nu)
+            continue
+        rem = last - pos
+        nh = h - 1
+        if nh >= 0 and height - nh <= rem:
+            stack.append((pos + 1, nh, nu + nh % 2))
+        if h + 1 - height <= rem:
+            stack.append((pos + 1, h + 1, nu))
 
 
 def path_weight_sum(length: int, height: int, cap: int = DEFAULT_CAP) -> UniPoly:
-    """Sum of weights over all paths of the given length and end height.
-
-    Depth-first walk tallying the odd-down-step count per path; no path is
-    materialized.
-    """
-    _guard(length, height, cap)
-    if height > length or (length - height) % 2:
-        return UniPoly()
+    """Sum of weights over all paths of the given length and end height:
+    a tally of the odd-down counts that ``enumerate_paths`` yields."""
     counts = [0] * (length // 2 + 1)
-
-    def walk(pos: int, h: int, nu: int):
-        if pos == length:
-            counts[nu] += 1
-            return
-        rem = length - pos - 1
-        nh = h + 1
-        if abs(height - nh) <= rem:
-            walk(pos + 1, nh, nu)
-        nh = h - 1
-        if nh >= 0 and abs(height - nh) <= rem:
-            walk(pos + 1, nh, nu + (nh % 2))
-
-    walk(0, 0, 0)
+    for _, odd_downs in enumerate_paths(length, height, cap):
+        counts[odd_downs] += 1
     return UniPoly(counts)
 
 

@@ -5,8 +5,9 @@ Pascal's triangle instead of factorial formulas, dict-based polynomial
 arithmetic, cofactor expansion instead of elimination, elimination of any
 square matrix instead of a subresultant chain on a Hankel sequence, a fresh
 elimination per matrix size instead of one sweep, list convolution and the
-path additions of the Prop 1 ballot recurrence instead of closed forms, and
-Dyck-path peak counting for the Narayana refinement.
+path additions of the Prop 1 ballot recurrence instead of closed forms,
+Dyck-path peak counting for the Narayana refinement, and per-path heights
+and weights read off a step tuple instead of tallied during the walk.
 """
 
 from functools import lru_cache
@@ -257,3 +258,26 @@ def ballot_prefix(k: int, size: int) -> list[UniPoly]:
             row.append(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
         out.append(UniPoly(row[k]))
     return out[:size]
+
+
+# -- one path at a time: heights and weight from its steps -------------------
+
+def path_heights(path: tuple[int, ...]) -> tuple[int, ...]:
+    """Running heights after each step; raises if the path dips below 0."""
+    h = 0
+    heights = []
+    for step in path:
+        if step not in (1, -1):
+            raise ValueError(f"invalid step {step!r}; steps are +1 or -1")
+        h += step
+        if h < 0:
+            raise ValueError("path dips below the axis")
+        heights.append(h)
+    return tuple(heights)
+
+
+def path_weight(path: tuple[int, ...]) -> UniPoly:
+    """t^(number of down steps landing at odd height)."""
+    heights = path_heights(path)
+    odd_downs = sum(1 for step, h in zip(path, heights) if step < 0 and h % 2)
+    return UniPoly.monomial(odd_downs)

@@ -137,6 +137,23 @@ def test_hankel_sweep_digest(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("plain", "bef67bda361f8800a1bccae148f66315eaa48ea6f6b56d1c0909705108a4ad0c"),
+        ("json", "04db8622f33839eb22cfa27d08a0ca1ded1cdc8033326115ab0702e8885394f3"),
+    ],
+)
+def test_paths_list_digest(capsys, fmt, digest):
+    # frozen from the listing built as a whole list; streaming prints the same bytes
+    code, out, _ = run_cli(
+        capsys, "paths", "--length", "14", "--height", "2", "--list", "--format", fmt
+    )
+    assert code == 0
+    assert out.count("\n") == 1001
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
 def test_hankel_range_is_tail_of_full_sweep(capsys, fmt):
     base = ("hankel", "--family", "narayana-conv", "--k", "5", "--shift", "-1",
@@ -197,6 +214,8 @@ def test_hankel_prints_values_past_the_int_str_limit(capsys, fmt):
         ("hankel", "--family", "narayana-conv", "--sizes", "31", "--matrix"),
         ("paths", "--length", "1001", "--height", "0"),
         ("paths", "--length", "6", "--height", "0", "--list", "--cap", "25"),
+        # a range this long is never built: only its top is read
+        ("hankel", "--sizes", "0..100000000"),
     ],
 )
 def test_limits_exit_two_before_any_work(capsys, monkeypatch, argv):
@@ -329,7 +348,7 @@ def test_paths_weight_json(capsys):
     }
 
 
-def test_paths_cap_env(capsys):
+def test_paths_list_cap(capsys):
     code, _, err = run_cli(
         capsys, "paths", "--length", "6", "--height", "0", "--list", "--cap", "4"
     )

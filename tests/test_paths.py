@@ -1,3 +1,6 @@
+import itertools
+from collections.abc import Iterator
+
 import pytest
 
 from catalan_hankel import (
@@ -8,25 +11,62 @@ from catalan_hankel import (
     enumerate_paths,
     narayana,
     narayana_conv,
-    path_heights,
-    path_weight,
     path_weight_sum,
     path_weight_sum_table,
 )
+from oracles import path_heights, path_weight
+
+
+def brute_force_paths(length: int) -> dict[int, list]:
+    """Every non-negative path of the given length as (heights, weight),
+    keyed by end height, in the order ``itertools.product`` makes the step
+    sequences: lexicographic with up before down."""
+    by_height: dict[int, list] = {}
+    for steps in itertools.product((1, -1), repeat=length):
+        try:
+            heights = path_heights(steps)
+        except ValueError:
+            continue
+        end = heights[-1] if heights else 0
+        by_height.setdefault(end, []).append((heights, path_weight(steps)))
+    return by_height
+
+
+def walk(length: int, height: int) -> list:
+    return [
+        (heights, UniPoly.monomial(odd_downs))
+        for heights, odd_downs in enumerate_paths(length, height)
+    ]
 
 
 def test_enumerate_small():
-    assert enumerate_paths(0, 0) == [()]
-    assert enumerate_paths(1, 1) == [(1,)]
-    assert enumerate_paths(1, 0) == []
-    assert enumerate_paths(3, 0) == []
-    paths = enumerate_paths(4, 0)
-    assert paths == [(1, 1, -1, -1), (1, -1, 1, -1)]
+    assert list(enumerate_paths(0, 0)) == [((), 0)]
+    assert list(enumerate_paths(1, 1)) == [((1,), 0)]
+    assert list(enumerate_paths(1, 0)) == []
+    assert list(enumerate_paths(3, 0)) == []
+    assert list(enumerate_paths(4, 0)) == [((1, 2, 1, 0), 1), ((1, 0, 1, 0), 0)]
+
+
+def test_enumeration_matches_brute_force_in_order():
+    for length in range(15):
+        by_height = brute_force_paths(length)
+        for height in range(length + 2):
+            assert walk(length, height) == by_height.get(height, []), (length, height)
+
+
+def test_enumeration_is_lazy():
+    paths = enumerate_paths(24, 0, cap=24)
+    assert isinstance(paths, Iterator)
+    assert [h for h, _ in itertools.islice(paths, 3)] == [
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0),
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 10, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0),
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 10, 9, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0),
+    ]
 
 
 def test_enumeration_counts_are_catalan():
     for n in range(7):
-        assert len(enumerate_paths(2 * n, 0)) == catalan(n)
+        assert sum(1 for _ in enumerate_paths(2 * n, 0)) == catalan(n)
 
 
 def test_path_heights_and_validation():
@@ -49,10 +89,11 @@ def test_path_weight_counts_odd_landings():
 
 def test_weight_sum_matches_enumeration():
     for length in range(9):
+        by_height = brute_force_paths(length)
         for height in range(length + 1):
             total = UniPoly()
-            for p in enumerate_paths(length, height):
-                total = total + path_weight(p)
+            for _, weight in by_height.get(height, []):
+                total = total + weight
             assert path_weight_sum(length, height) == total
 
 

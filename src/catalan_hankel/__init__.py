@@ -43,13 +43,7 @@ from .hankel import (
     narayana_det,
     narayana_dets,
 )
-from .paths import (
-    EnumerationCapError,
-    check_path_weight_identity,
-    enumerate_paths,
-    path_weight_sum,
-    path_weight_sum_table,
-)
+from .paths import enumerate_paths, path_weight_sum, path_weight_sum_table
 from .report import CheckReport, summarize
 from .verify import check_reciprocal_duality
 
@@ -57,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CheckReport",
-    "EnumerationCapError",
     "ExactDivisionError",
     "Family",
     "HankelMatrix",
@@ -73,7 +66,6 @@ __all__ = [
     "catalan_det",
     "catalan_dets",
     "catalan_series",
-    "check_path_weight_identity",
     "check_reciprocal_duality",
     "companion_poly",
     "companion_poly_t",

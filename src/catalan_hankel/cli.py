@@ -12,11 +12,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import signal
 import sys
 
 from .families import CATALAN_CONV, FAMILY_KINDS, NARAYANA_CONV, Family
 from .hankel import family_dets, hankel_matrix
-from .paths import DEFAULT_CAP, enumerate_paths, path_weight_sum_table
+from .paths import enumerate_paths, path_weight_sum_table
 from .polyring import INTEGER_RING, ExactDivisionError, UniPoly
 from .report import encode_value, render_value, summarize
 from .series import TruncationError
@@ -25,14 +26,16 @@ from .verify import DEFAULT_SEED, SUITE_ORDER, run_suite
 FORMATS = ("plain", "csv", "json")
 
 #: The largest accepted value of each size option, per family and for
-#: ``paths``, checked before any work starts.  A request with one option at
+#: ``paths`` (the sum) and ``paths --list`` (the walk, exponential in the
+#: length), checked before any work starts.  A request with one option at
 #: its limit and the others small takes at most about ten seconds (CPython
 #: 3.11, x86-64 server); several options near their limits at once can take
 #: longer.  Negative shifts read only zero entries and need no limit.
 LIMITS = {
     CATALAN_CONV: {"k": 100_000, "n_max": 4000, "shift": 200_000, "sizes": 250},
     NARAYANA_CONV: {"k": 100_000, "n_max": 500, "shift": 500, "sizes": 30},
-    "paths": {"length": 1000, "cap": 24},
+    "paths": {"length": 1000},
+    "paths --list": {"length": 24},
 }
 
 
@@ -69,14 +72,15 @@ def _maybe_eval(value, t_eval):
 
 
 def _parse_sizes(text: str) -> range:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        start, stop = int(lo), int(hi)
-        if stop < start:
-            raise ValueError(f"empty size range {text!r}")
-        return range(start, stop + 1)
-    size = int(text)
-    return range(size, size + 1)
+    lo, dots, hi = text.partition("..")
+    try:
+        start = int(lo)
+        stop = int(hi) if dots else start
+    except ValueError:
+        raise ValueError(f"--sizes {text!r} is not a size N or a range A..B") from None
+    if stop < start:
+        raise ValueError(f"empty size range {text!r}")
+    return range(start, stop + 1)
 
 
 def _cmd_seq(args) -> int:
@@ -125,9 +129,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_paths(args) -> int:
-    _check_limits("paths", length=args.length, cap=args.cap)
+    _check_limits("paths --list" if args.list else "paths", length=args.length)
     if args.list:
-        for heights, odd_downs in enumerate_paths(args.length, args.height, args.cap):
+        for heights, odd_downs in enumerate_paths(args.length, args.height):
             weight = UniPoly.monomial(odd_downs)
             if args.format == "json":
                 print(
@@ -209,10 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("paths", help="weighted non-negative up-down paths")
     p.add_argument("--length", type=int, required=True, help="number of steps")
     p.add_argument("--height", type=int, required=True, help="end height")
-    p.add_argument(
-        "--cap", type=int, default=DEFAULT_CAP,
-        help=f"--list cap on length (default {DEFAULT_CAP})",
-    )
     p.add_argument("--list", action="store_true", help="one line per path")
     p.add_argument("--format", choices=("plain", "json"), default="plain")
     p.set_defaults(fn=_cmd_paths)
@@ -246,6 +246,10 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    # A reader that closes the pipe early (``... | head``) ends the process
+    # the way it ends other Unix tools, not as an internal error.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

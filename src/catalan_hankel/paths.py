@@ -8,9 +8,10 @@ paths of length 2n + k - 1 ending at height k - 1 equals the n-th
 coefficient of the k-th mixed convolution power.
 
 Enumeration is one depth-first walk that yields each path with its weight
-as it is found; an explicit cap on the step count keeps the exponential walk
-in check.  The table form of the weight sum, read from the closed form of
-``narayana_conv``, has no cap.
+as it is found.  Its cost grows exponentially with the length, and the
+library sets no bound: the CLI's limit table bounds ``paths --list``.  The
+table form of the weight sum is read from the closed form of
+``narayana_conv``.
 """
 
 from __future__ import annotations
@@ -18,30 +19,10 @@ from __future__ import annotations
 from typing import Iterator
 
 from .polyring import UniPoly
-from .report import CheckReport, equal_report
-from .families import mixed_power_series, narayana_conv
-
-DEFAULT_CAP = 22
+from .families import narayana_conv
 
 
-class EnumerationCapError(ValueError):
-    """The requested walk length exceeds the configured enumeration cap."""
-
-
-def _guard(length: int, height: int, cap: int):
-    if length < 0:
-        raise ValueError(f"path length {length} must be >= 0")
-    if height < 0:
-        raise ValueError(f"end height {height} must be >= 0")
-    if length > cap:
-        raise EnumerationCapError(
-            f"length {length} exceeds the enumeration cap {cap}"
-        )
-
-
-def enumerate_paths(
-    length: int, height: int, cap: int = DEFAULT_CAP
-) -> Iterator[tuple[tuple[int, ...], int]]:
+def enumerate_paths(length: int, height: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """Every path of the given length ending at the given height, lazily.
 
     Yields ``(heights, odd_downs)``: the running heights after each step and
@@ -50,7 +31,10 @@ def enumerate_paths(
     before down.  The arguments are checked here, at the call, not at the
     first ``next``.
     """
-    _guard(length, height, cap)
+    if length < 0:
+        raise ValueError(f"path length {length} must be >= 0")
+    if height < 0:
+        raise ValueError(f"end height {height} must be >= 0")
     return _walk(length, height)
 
 
@@ -86,17 +70,17 @@ def _walk(length: int, height: int) -> Iterator[tuple[tuple[int, ...], int]]:
             stack.append((pos + 1, h + 1, nu))
 
 
-def path_weight_sum(length: int, height: int, cap: int = DEFAULT_CAP) -> UniPoly:
+def path_weight_sum(length: int, height: int) -> UniPoly:
     """Sum of weights over all paths of the given length and end height:
     a tally of the odd-down counts that ``enumerate_paths`` yields."""
     counts = [0] * (length // 2 + 1)
-    for _, odd_downs in enumerate_paths(length, height, cap):
+    for _, odd_downs in enumerate_paths(length, height):
         counts[odd_downs] += 1
     return UniPoly(counts)
 
 
 def path_weight_sum_table(length: int, height: int) -> UniPoly:
-    """Same weight sum from the closed form of the mixed power, no cap.
+    """Same weight sum from the closed form of the mixed power.
 
     Splitting off the last step gives a(L, h) = a(L-1, h-1) + w * a(L-1, h+1)
     with w = t for an odd landing height h, else 1.  With k = h + 1 and
@@ -111,17 +95,3 @@ def path_weight_sum_table(length: int, height: int) -> UniPoly:
         return UniPoly()
     return narayana_conv(height + 1, (length - height) // 2)
 
-
-def check_path_weight_identity(k: int, n: int, cap: int = DEFAULT_CAP) -> CheckReport:
-    """Weight sum of paths to (2n + k - 1, k - 1) vs the x^n coefficient of
-    the k-th mixed convolution power."""
-    if k < 1:
-        raise ValueError(f"convolution power k={k} must be >= 1")
-    if n < 0:
-        raise ValueError(f"index n={n} must be >= 0")
-    length = 2 * n + k - 1
-    lhs = path_weight_sum(length, k - 1, cap)
-    rhs = mixed_power_series(k, n + 1).coefficient(n)
-    return equal_report(
-        "paths/weight-identity", {"k": k, "n": n, "length": length}, lhs, rhs
-    )

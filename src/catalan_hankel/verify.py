@@ -10,6 +10,7 @@ the recorded parameters alone.
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Callable, Sequence
 
@@ -31,7 +32,7 @@ from .families import (
     narayana_series_weighted,
 )
 from .hankel import det_fraction_free, family_dets, hankel_matrix
-from .paths import DEFAULT_CAP, check_path_weight_identity, path_weight_sum, path_weight_sum_table
+from .paths import path_weight_sum, path_weight_sum_table
 from .report import CheckReport, equal_report
 
 DEFAULT_SEED = 7
@@ -406,20 +407,27 @@ def check_series_identities(
 # ---------------------------------------------------------------------------
 # Weighted path identity.
 
-def path_weight_reports(
-    length_max: int = 15, height_max: int = 6, cap: int = DEFAULT_CAP
-) -> list[CheckReport]:
-    """Path-weight identity for every (k, n) within the length budget, plus
-    enumeration-vs-recurrence agreement on the weight table."""
-    identities = [
-        check_path_weight_identity(k, n, cap)
-        for k in range(1, length_max + 2)
-        for n in range((length_max + 1 - k) // 2 + 1)  # 2n + k - 1 <= length_max
-    ]
-    return identities + [
+def path_weight_reports(length_max: int = 15, height_max: int = 6) -> list[CheckReport]:
+    """Prop 1 for every (k, n) within the length budget: the weight sum of
+    paths to (2n + k - 1, k - 1) against the x^n coefficient of the k-th
+    mixed convolution power.  Then enumeration-vs-closed-form agreement on
+    the weight table.  Each (length, height) is walked once, and each k's
+    series is built once, at the largest order that k reads."""
+    walk = functools.cache(path_weight_sum)
+    reports = []
+    for k in range(1, length_max + 2):
+        top = (length_max + 1 - k) // 2  # the largest n with 2n + k - 1 <= length_max
+        mixed = mixed_power_series(k, top + 1)
+        for n in range(top + 1):
+            length = 2 * n + k - 1
+            reports.append(equal_report(
+                "paths/weight-identity", {"k": k, "n": n, "length": length},
+                walk(length, k - 1), mixed.coefficient(n),
+            ))
+    return reports + [
         equal_report(
             "paths/table-agreement", {"length": length, "height": height},
-            path_weight_sum(length, height, cap), path_weight_sum_table(length, height),
+            walk(length, height), path_weight_sum_table(length, height),
         )
         for length in range(length_max + 1)
         for height in range(min(length, height_max) + 1)

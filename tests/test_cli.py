@@ -1,8 +1,12 @@
 import hashlib
 import io
 import json
+import os
+import signal
+import subprocess
 import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -213,7 +217,7 @@ def test_hankel_prints_values_past_the_int_str_limit(capsys, fmt):
         ("hankel", "--sizes", "0..251"),
         ("hankel", "--family", "narayana-conv", "--sizes", "31", "--matrix"),
         ("paths", "--length", "1001", "--height", "0"),
-        ("paths", "--length", "6", "--height", "0", "--list", "--cap", "25"),
+        ("paths", "--length", "25", "--height", "1", "--list"),
         # a range this long is never built: only its top is read
         ("hankel", "--sizes", "0..100000000"),
     ],
@@ -302,11 +306,15 @@ def test_hankel_matrix_output(capsys):
 
 
 def test_hankel_bad_range(capsys):
-    code, _, err = run_cli(
-        capsys, "hankel", "--family", "catalan-conv", "--k", "1", "--sizes", "5..2",
-    )
-    assert code == 2
-    assert "error" in err
+    for sizes, message in (
+        ("5..2", "empty size range '5..2'"),
+        ("3..", "--sizes '3..' is not a size N or a range A..B"),
+        ("abc", "--sizes 'abc' is not a size N or a range A..B"),
+    ):
+        code, out, err = run_cli(
+            capsys, "hankel", "--family", "catalan-conv", "--k", "1", "--sizes", sizes,
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_verify_suite_pass(capsys):
@@ -348,22 +356,23 @@ def test_paths_weight_json(capsys):
     }
 
 
-def test_paths_list_cap(capsys):
-    code, _, err = run_cli(
-        capsys, "paths", "--length", "6", "--height", "0", "--list", "--cap", "4"
-    )
-    assert code == 2
-    assert "cap" in err
-    code, _, err = run_cli(capsys, "paths", "--length", "24", "--height", "0", "--list")
-    assert code == 2
-    assert "cap 22" in err
-    code, _, _ = run_cli(
+def test_paths_list_limit(capsys):
+    code, out, err = run_cli(capsys, "paths", "--list", "--length", "25", "--height", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: --length 25 is over the paths --list limit 24\n"
+    code, out, _ = run_cli(capsys, "paths", "--list", "--length", "24", "--height", "24")
+    assert (code, out) == (0, "(" + ",".join(map(str, range(1, 25))) + "): 1\n")
+    code, out, _ = run_cli(
         capsys, "paths", "--length", "6", "--height", "0", "--list", "--cap", "6"
     )
-    assert code == 0
-    # the cap bounds the listing only; the aggregate is a recurrence
-    code, out, _ = run_cli(capsys, "paths", "--length", "6", "--height", "0")
-    assert (code, out) == (0, "1 + 3*t + t^2\n")
+    assert (code, out) == (2, "")
+    # the limit bounds the listing only; the aggregate is a closed form, and
+    # paths to (25, 1) are the Dyck paths of length 26 less their last step
+    code, out, _ = run_cli(
+        capsys, "paths", "--length", "25", "--height", "1", "--format", "json"
+    )
+    narayana_13 = [comb(13, j) * comb(13, j + 1) // 13 for j in range(13)]
+    assert (code, json.loads(out)["weight"]) == (0, narayana_13)
 
 
 def test_paths_aggregate_has_no_cap(capsys):
@@ -391,6 +400,24 @@ def test_negative_n_max_exits_two(capsys):
     code, out, err = run_cli(capsys, "seq", "--k", "2", "--n-max", "-1")
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "n-max" in err
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_stdout_pipe_ends_quietly():
+    # like `catalan-hankel paths --list ... | head -1`: the reader leaves after
+    # one line, and the next write ends the process by SIGPIPE, not exit 3
+    src = Path(cli.__file__).resolve().parent.parent
+    with subprocess.Popen(
+        [sys.executable, "-m", "catalan_hankel.cli",
+         "paths", "--list", "--length", "20", "--height", "0"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert first.startswith(b"(1,2,")
+    assert (proc.returncode, err) == (-signal.SIGPIPE, b"")
 
 
 def test_unexpected_error_exits_three(capsys, monkeypatch):

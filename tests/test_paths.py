@@ -4,16 +4,17 @@ from collections.abc import Iterator
 import pytest
 
 from catalan_hankel import (
-    EnumerationCapError,
     UniPoly,
     catalan,
-    check_path_weight_identity,
     enumerate_paths,
     narayana,
     narayana_conv,
     path_weight_sum,
     path_weight_sum_table,
+    paths,
+    verify,
 )
+from catalan_hankel.verify import path_weight_reports
 from oracles import path_heights, path_weight
 
 
@@ -55,9 +56,9 @@ def test_enumeration_matches_brute_force_in_order():
 
 
 def test_enumeration_is_lazy():
-    paths = enumerate_paths(24, 0, cap=24)
-    assert isinstance(paths, Iterator)
-    assert [h for h, _ in itertools.islice(paths, 3)] == [
+    found = enumerate_paths(24, 0)
+    assert isinstance(found, Iterator)
+    assert [h for h, _ in itertools.islice(found, 3)] == [
         (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0),
         (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 10, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0),
         (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 10, 9, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0),
@@ -113,22 +114,42 @@ def test_closed_paths_give_narayana():
 
 
 def test_weight_identity_reports():
-    for k in range(1, 6):
-        for n in range(4):
-            if 2 * n + k - 1 <= 15:
-                r = check_path_weight_identity(k, n)
-                assert r.ok, str(r)
-    assert check_path_weight_identity(3, 2).rhs == narayana_conv(3, 2)
+    reports = path_weight_reports()
+    assert all(r.ok for r in reports), [str(r) for r in reports if not r.ok]
+    identities = {
+        (r.params["k"], r.params["n"]): r
+        for r in reports if r.check == "paths/weight-identity"
+    }
+    # every (k, n) with 2n + k - 1 <= 15
+    assert sorted(identities) == [
+        (k, n) for k in range(1, 17) for n in range(8) if 2 * n + k - 1 <= 15
+    ]
+    r = identities[3, 2]
+    assert r.params["length"] == 6
+    assert r.rhs == narayana_conv(3, 2)
+    assert r.lhs == path_weight_sum(6, 2)
 
 
-def test_cap_enforced():
-    with pytest.raises(EnumerationCapError):
-        enumerate_paths(23, 1)
-    with pytest.raises(EnumerationCapError):
-        path_weight_sum(10, 0, cap=9)
-    with pytest.raises(EnumerationCapError):
-        check_path_weight_identity(2, 8, cap=10)
-    assert path_weight_sum(10, 0, cap=10) == path_weight_sum_table(10, 0)
+def test_weight_reports_walk_each_path_set_once(monkeypatch):
+    walks, series = [], []
+    mixed_power_series = verify.mixed_power_series
+
+    def counting_sum(length, height):
+        walks.append((length, height))
+        return path_weight_sum(length, height)
+
+    def counting_series(k, order):
+        series.append(k)
+        return mixed_power_series(k, order)
+
+    for module in (paths, verify):
+        monkeypatch.setattr(module, "path_weight_sum", counting_sum)
+    monkeypatch.setattr(verify, "mixed_power_series", counting_series)
+    reports = path_weight_reports()
+    # 72 identities and 91 table cells read 116 distinct (length, height)
+    assert len(reports) == 72 + 91
+    assert len(walks) == len(set(walks)) == 116
+    assert sorted(series) == list(range(1, 17))
 
 
 def test_argument_validation():
@@ -136,7 +157,3 @@ def test_argument_validation():
         enumerate_paths(-1, 0)
     with pytest.raises(ValueError):
         path_weight_sum(4, -2)
-    with pytest.raises(ValueError):
-        check_path_weight_identity(0, 1)
-    with pytest.raises(ValueError):
-        check_path_weight_identity(1, -1)

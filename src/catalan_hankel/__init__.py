@@ -27,7 +27,7 @@ from .families import (
     companion_poly,
     companion_poly_t,
     lucas,
-    mixed_power_series,
+    mixed_powers,
     narayana,
     narayana_conv,
     narayana_series,
@@ -75,7 +75,7 @@ __all__ = [
     "hankel_matrix",
     "leading_minors",
     "lucas",
-    "mixed_power_series",
+    "mixed_powers",
     "narayana",
     "narayana_conv",
     "narayana_det",

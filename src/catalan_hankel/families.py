@@ -12,16 +12,16 @@ Polynomial side (weight variable t)
                             catalan(n).
     ``narayana_series(order)``           c0(x,t) = sum C_n(t) x^n
     ``narayana_series_weighted(order)``  c1(x,t) = 1 + t * sum_{n>=1} C_n(t) x^n
-    ``mixed_power_series(k, order)``     alternating product
-        c^(0) = 1,  c^(2j) = (c0*c1)^j,  c^(2j+1) = (c0*c1)^j * c0,
-        whose x^n coefficient ``narayana_conv(k, n)`` reduces to
-        catalan_conv(k, n) at t=1.
+    ``mixed_powers(k_max, order)``       [c^(0), ..., c^(k_max)], the
+        alternating products c^(0) = 1, c^(k) = c^(k-1) * c0 for odd k and
+        c^(k-1) * c1 for even k, whose x^n coefficient
+        ``narayana_conv(k, n)`` reduces to catalan_conv(k, n) at t=1.
     ``narayana_conv(k, n)`` closed form for n >= 1: with a = ceil(k/2),
                             b = floor(k/2), the t^i coefficient is
         (a C(n+b, i) C(n+a-1, n-1-i) + b C(n+a, n-i) C(n+b-1, i-1)) / n.
         It is Lagrange inversion of u = x c0 c1 = x (1+u)(1+tu), where
         c0 = 1+u and c1 = 1+tu, so the k-th power is (1+u)^a (1+tu)^b.
-        ``mixed_power_series`` stays the generating-function side of the
+        ``mixed_powers`` stays the generating-function side of the
         verification suites.
 
 Lucas side
@@ -30,14 +30,13 @@ Lucas side
     ``companion_poly(k)``     L_k(1, -x), the integer companion polynomial.
     ``companion_poly_t(k)``   its t-refinement; degree floor((k+1)/2) in x.
 
-Everything is exact; results are cached where rebuilding would repeat work,
-and every cache is bounded.
+Everything is exact, and the module keeps no state: callers that read a
+series more than once build it once and hold it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 from .polyring import INTEGER_RING, POLY_RING, UniPoly, _Ring, binomial
@@ -58,7 +57,6 @@ def catalan_conv(k: int, n: int) -> int:
     return k * comb(2 * n + k - 1, n) // (n + k)
 
 
-@lru_cache(maxsize=32)
 def catalan_series(order: int) -> Series:
     return Series(INTEGER_RING, [catalan(n) for n in range(order)])
 
@@ -68,13 +66,11 @@ def narayana(n: int) -> UniPoly:
     return narayana_conv(1, n)
 
 
-@lru_cache(maxsize=32)
 def narayana_series(order: int) -> Series:
     """c0(x,t): ordinary generating function of the Narayana polynomials."""
     return Series(POLY_RING, [narayana(n) for n in range(order)])
 
 
-@lru_cache(maxsize=32)
 def narayana_series_weighted(order: int) -> Series:
     """c1(x,t) = 1 - t + t*c0(x,t): every positive-index coefficient gains t."""
     t = UniPoly((0, 1))
@@ -84,24 +80,20 @@ def narayana_series_weighted(order: int) -> Series:
     return Series(POLY_RING, coeffs)
 
 
-@lru_cache(maxsize=32)
-def _weighted_pair(order: int) -> Series:
-    return narayana_series(order) * narayana_series_weighted(order)
+def mixed_powers(k_max: int, order: int) -> list[Series]:
+    """[c^(0), ..., c^(k_max)], each power one product from the last.
 
-
-def mixed_power_series(k: int, order: int) -> Series:
-    """The k-th mixed convolution power, alternating c0 and c1 factors.
-
-    k = 0 is the constant series 1.  At t = 1 both factors collapse to the
+    c^(0) is the constant series 1, and c^(k) multiplies c^(k-1) by c0 for
+    odd k and by c1 for even k.  At t = 1 both factors collapse to the
     Catalan series, so the x^n coefficient evaluates to catalan_conv(k, n).
     """
-    if k < 0:
-        raise ValueError(f"convolution power k={k} must be >= 0")
-    half, odd = divmod(k, 2)
-    base = _weighted_pair(order) ** half
-    if odd:
-        return base * narayana_series(order)
-    return base
+    if k_max < 0:
+        raise ValueError(f"convolution power k_max={k_max} must be >= 0")
+    factors = (narayana_series_weighted(order), narayana_series(order))
+    powers = [Series.from_polynomial(POLY_RING, [1], order)]
+    for k in range(1, k_max + 1):
+        powers.append(powers[-1] * factors[k % 2])
+    return powers
 
 
 def narayana_conv(k: int, n: int) -> UniPoly:

@@ -34,12 +34,6 @@ class Series:
         raise AttributeError("Series is immutable")
 
     @classmethod
-    def one(cls, ring: _Ring, order: int) -> "Series":
-        if order < 0:
-            raise ValueError("order must be non-negative")
-        return cls(ring, (ring.one,) + (ring.zero,) * (order - 1) if order else ())
-
-    @classmethod
     def from_polynomial(cls, ring: _Ring, coeffs: Sequence, order: int) -> "Series":
         """Series of a polynomial: known zero out to the requested order."""
         if order < 0:
@@ -118,19 +112,6 @@ class Series:
         return Series(self.ring, tuple(c * s for c in self.coeffs))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Series":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("series power needs a non-negative integer")
-        result = Series.one(self.ring, self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
 
     def reciprocal(self) -> "Series":
         """Multiplicative inverse; requires constant coefficient 1."""

@@ -25,7 +25,7 @@ from .families import (
     companion_poly,
     companion_poly_t,
     lucas,
-    mixed_power_series,
+    mixed_powers,
     narayana,
     narayana_conv,
     narayana_series,
@@ -325,15 +325,16 @@ def check_series_identities(
     c = catalan_series(order)
     c0 = narayana_series(order)
     c1 = narayana_series_weighted(order)
-    mixed = [mixed_power_series(K, order) for K in range(2 * k_max + 2)]
+    mixed = mixed_powers(2 * k_max + 1, order)
     ks = range(1, k_max + 1)
 
     def poly(ring, coeffs) -> Series:
         return Series.from_polynomial(ring, coeffs, order)
 
+    xc, inv = c.shift(1), c.reciprocal()
     rows = [
         ("identity/catalan-quadratic", {}, (c * c).shift(1) + 1, c),
-        ("identity/catalan-reciprocal", {}, c.shift(1) + c.reciprocal(), poly(INTEGER_RING, [1])),
+        ("identity/catalan-reciprocal", {}, xc + inv, poly(INTEGER_RING, [1])),
     ]
     rng = random.Random(seed)
     pairs = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(8)]
@@ -348,11 +349,11 @@ def check_series_identities(
          companion_poly(2 * k), lucas(k, UniPoly((1, -2)), UniPoly((0, 0, -1))))
         for k in ks
     ]
-    rows += [
-        ("identity/lucas-reciprocal", {"k": k}, c.shift(1) ** k + c.reciprocal() ** k,
-         poly(INTEGER_RING, companion_poly(k).coeffs))
-        for k in ks
-    ]
+    xc_k = inv_k = poly(INTEGER_RING, [1])
+    for k in ks:
+        xc_k, inv_k = xc_k * xc, inv_k * inv
+        rows.append(("identity/lucas-reciprocal", {"k": k}, xc_k + inv_k,
+                     poly(INTEGER_RING, companion_poly(k).coeffs)))
     rows += [
         ("identity/narayana-affine", {}, c1, c0 * T + poly(POLY_RING, [1 - T])),
         ("identity/narayana-quadratic", {"which": "weighted"}, (c0 * c1 * T).shift(1) + 1, c1),
@@ -411,18 +412,18 @@ def path_weight_reports(length_max: int = 15, height_max: int = 6) -> list[Check
     """Prop 1 for every (k, n) within the length budget: the weight sum of
     paths to (2n + k - 1, k - 1) against the x^n coefficient of the k-th
     mixed convolution power.  Then enumeration-vs-closed-form agreement on
-    the weight table.  Each (length, height) is walked once, and each k's
-    series is built once, at the largest order that k reads."""
+    the weight table.  Each (length, height) is walked once, and the run of
+    mixed powers is built once, at the largest order that any k reads."""
     walk = functools.cache(path_weight_sum)
+    mixed = mixed_powers(length_max + 1, length_max // 2 + 1)
     reports = []
     for k in range(1, length_max + 2):
         top = (length_max + 1 - k) // 2  # the largest n with 2n + k - 1 <= length_max
-        mixed = mixed_power_series(k, top + 1)
         for n in range(top + 1):
             length = 2 * n + k - 1
             reports.append(equal_report(
                 "paths/weight-identity", {"k": k, "n": n, "length": length},
-                walk(length, k - 1), mixed.coefficient(n),
+                walk(length, k - 1), mixed[k].coefficient(n),
             ))
     return reports + [
         equal_report(

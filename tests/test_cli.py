@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from catalan_hankel import cli, families, hankel
+from catalan_hankel import ExactDivisionError, TruncationError, cli, families, hankel
 from catalan_hankel.cli import main
 
 
@@ -421,13 +421,16 @@ def test_closed_stdout_pipe_ends_quietly():
 
 
 def test_unexpected_error_exits_three(capsys, monkeypatch):
-    def crash(name, seed):
-        raise RuntimeError("boom")
+    # an inexact division or a read past a series' order is a library fault,
+    # not a usage error, so it must not pass as exit 2
+    for fault in (RuntimeError, ExactDivisionError, TruncationError):
+        def crash(name, seed):
+            raise fault("boom")
 
-    monkeypatch.setattr(cli, "run_suite", crash)
-    code, out, err = run_cli(capsys, "verify", "--suite", "thm1")
-    assert (code, out) == (3, "")
-    assert err == "error: internal RuntimeError: boom\n"
+        monkeypatch.setattr(cli, "run_suite", crash)
+        code, out, err = run_cli(capsys, "verify", "--suite", "thm1")
+        assert (code, out) == (3, ""), fault
+        assert err == f"error: internal {fault.__name__}: boom\n"
 
 
 def test_large_power_sequence(capsys):

@@ -1,5 +1,3 @@
-from math import comb
-
 import pytest
 
 from catalan_hankel import (
@@ -13,7 +11,7 @@ from catalan_hankel import (
     companion_poly,
     companion_poly_t,
     lucas,
-    mixed_power_series,
+    mixed_powers,
     narayana,
     narayana_conv,
     narayana_series,
@@ -49,7 +47,8 @@ def test_catalan_conv_closed_form_against_convolution():
 
 
 def test_catalan_power_series_matches_closed_form():
-    s = catalan_series(10) ** 4
+    c = catalan_series(10)
+    s = c * c * c * c
     assert list(s.coeffs) == [catalan_conv(4, n) for n in range(10)]
 
 
@@ -89,14 +88,17 @@ def test_mixed_power_series_brute_force():
     order = 10
     c0 = list(narayana_series(order).coeffs)
     c1 = list(narayana_series_weighted(order).coeffs)
+    powers = mixed_powers(8, order)
+    assert len(powers) == 9
     expected = [UniPoly((1,))] + [UniPoly()] * (order - 1)
-    for k in range(0, 9):
-        got = mixed_power_series(k, order)
+    for k, got in enumerate(powers):
         assert list(got.coeffs) == expected
         # next power alternates a c0 factor (to odd) and a c1 factor (to even)
         expected = convolve(expected, c0 if k % 2 == 0 else c1)
+    assert [list(s.coeffs) for s in mixed_powers(0, 4)] == [[UniPoly((1,))] + [UniPoly()] * 3]
+    assert [s.order for s in mixed_powers(3, 0)] == [0] * 4
     with pytest.raises(ValueError):
-        mixed_power_series(-1, 4)
+        mixed_powers(-1, 4)
 
 
 def test_mixed_powers_collapse_to_catalan_conv_at_one():
@@ -126,18 +128,18 @@ def test_narayana_conv_closed_form_against_ballot_recurrence():
     assert [narayana_conv(1000, n) for n in range(12)] == ballot_prefix(1000, 12)
 
 
-def test_families_caches_are_bounded():
-    caches = [v for v in vars(families).values() if hasattr(v, "cache_info")]
-    assert caches
-    for fn in caches:
-        assert fn.cache_info().maxsize is not None, fn
+def test_families_keeps_no_cache():
+    assert [v for v in vars(families).values() if hasattr(v, "cache_info")] == []
 
 
 def test_mixed_power_series_at_large_power():
-    # k = 5000 used to recurse once per factor pair
-    k = 5000
-    got = [mixed_power_series(k, 4).coefficient(n)(1) for n in range(4)]
-    assert got == [k * comb(2 * n + k - 1, n) // (n + k) for n in range(4)]
+    # every power up to k = 5000, one product each, against the closed form at t = 1
+    powers = mixed_powers(5000, 4)
+    assert len(powers) == 5001
+    assert [powers[0].coefficient(n)(1) for n in range(4)] == [1, 0, 0, 0]
+    for k in range(1, 5001):
+        got = [powers[k].coefficient(n)(1) for n in range(4)]
+        assert got == [catalan_conv(k, n) for n in range(4)], k
 
 
 def test_narayana_conv_printed_third_power():
@@ -153,7 +155,7 @@ def test_narayana_conv_printed_third_power():
 
 
 def test_first_mixed_power_coefficient():
-    assert mixed_power_series(3, 4).coefficient(1) == UniPoly((2, 1))
+    assert mixed_powers(3, 4)[3].coefficient(1) == UniPoly((2, 1))
     pair = narayana_series(4) * narayana_series_weighted(4)
     assert pair.coefficient(1) == UniPoly((1, 1))
 

@@ -132,24 +132,24 @@ def test_weight_identity_reports():
 
 def test_weight_reports_walk_each_path_set_once(monkeypatch):
     walks, series = [], []
-    mixed_power_series = verify.mixed_power_series
+    mixed_powers = verify.mixed_powers
 
     def counting_sum(length, height):
         walks.append((length, height))
         return path_weight_sum(length, height)
 
-    def counting_series(k, order):
-        series.append(k)
-        return mixed_power_series(k, order)
+    def counting_powers(k_max, order):
+        series.append((k_max, order))
+        return mixed_powers(k_max, order)
 
     for module in (paths, verify):
         monkeypatch.setattr(module, "path_weight_sum", counting_sum)
-    monkeypatch.setattr(verify, "mixed_power_series", counting_series)
+    monkeypatch.setattr(verify, "mixed_powers", counting_powers)
     reports = path_weight_reports()
     # 72 identities and 91 table cells read 116 distinct (length, height)
     assert len(reports) == 72 + 91
     assert len(walks) == len(set(walks)) == 116
-    assert sorted(series) == list(range(1, 17))
+    assert series == [(16, 8)]
 
 
 def test_argument_validation():

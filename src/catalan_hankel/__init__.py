@@ -35,13 +35,10 @@ from .families import (
 )
 from .hankel import (
     HankelMatrix,
-    catalan_det,
-    catalan_dets,
     det_fraction_free,
+    family_dets,
     hankel_matrix,
     leading_minors,
-    narayana_det,
-    narayana_dets,
 )
 from .paths import enumerate_paths, path_weight_sum, path_weight_sum_table
 from .report import CheckReport, summarize
@@ -63,8 +60,6 @@ __all__ = [
     "binomial",
     "catalan",
     "catalan_conv",
-    "catalan_det",
-    "catalan_dets",
     "catalan_series",
     "check_reciprocal_duality",
     "companion_poly",
@@ -72,14 +67,13 @@ __all__ = [
     "det_fraction_free",
     "enumerate_paths",
     "exact_div",
+    "family_dets",
     "hankel_matrix",
     "leading_minors",
     "lucas",
     "mixed_powers",
     "narayana",
     "narayana_conv",
-    "narayana_det",
-    "narayana_dets",
     "narayana_series",
     "narayana_series_weighted",
     "path_weight_sum",

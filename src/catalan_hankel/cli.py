@@ -26,10 +26,11 @@ FORMATS = ("plain", "csv", "json")
 
 #: The largest accepted value of each size option, per family and for
 #: ``paths`` (the sum) and ``paths --list`` (the walk, exponential in the
-#: length), checked before any work starts.  A request with one option at
-#: its limit and the others small takes at most about ten seconds (CPython
-#: 3.11, x86-64 server); several options near their limits at once can take
-#: longer.  Negative shifts read only zero entries and need no limit.
+#: length), checked before any work starts.  The table bounds each option on
+#: its own and does not bound time: ``hankel --family narayana-conv --k 1
+#: --shift 500 --sizes 3`` has only --shift at its limit and runs for about
+#: half a minute (CPython 3.11, x86-64 server).  Negative shifts read only
+#: zero entries and need no limit.
 LIMITS = {
     CATALAN_CONV: {"k": 100_000, "n_max": 4000, "shift": 200_000, "sizes": 250},
     NARAYANA_CONV: {"k": 100_000, "n_max": 500, "shift": 500, "sizes": 30},
@@ -192,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_family(p)
     p.add_argument("--shift", type=int, default=0, help="index shift, may be negative")
     p.add_argument(
-        "--sizes", "--size", dest="sizes", required=True,
+        "--sizes", required=True,
         help="matrix size N, or an inclusive range A..B",
     )
     p.add_argument(

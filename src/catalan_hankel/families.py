@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .polyring import INTEGER_RING, POLY_RING, UniPoly, _Ring, binomial
+from .polyring import INTEGER_RING, POLY_RING, T, UniPoly, _Ring, binomial
 from .series import Series
 
 
@@ -73,10 +73,9 @@ def narayana_series(order: int) -> Series:
 
 def narayana_series_weighted(order: int) -> Series:
     """c1(x,t) = 1 - t + t*c0(x,t): every positive-index coefficient gains t."""
-    t = UniPoly((0, 1))
     coeffs: list[UniPoly] = [UniPoly((1,))]
     for n in range(1, order):
-        coeffs.append(t * narayana(n))
+        coeffs.append(T * narayana(n))
     return Series(POLY_RING, coeffs)
 
 
@@ -159,7 +158,7 @@ def companion_poly_t(k: int) -> Series:
     half, odd = divmod(k, 2)
     if not odd:
         return lucas(half, x_arg, s_arg)
-    xt = Series.from_polynomial(POLY_RING, [0, UniPoly((0, 1))], order)
+    xt = Series.from_polynomial(POLY_RING, [0, T], order)
     return xt * lucas(half, x_arg, s_arg) + lucas(half + 1, x_arg, s_arg)
 
 

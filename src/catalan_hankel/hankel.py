@@ -14,15 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .polyring import Scalar, UniPoly, _Ring, exact_div
-from .families import CATALAN_CONV, NARAYANA_CONV, Family
+from .polyring import Scalar, _Ring, exact_div
+from .families import Family
 
 
 @dataclass(frozen=True)
 class HankelMatrix:
     """An N x N Hankel matrix over a coefficient ring, stored as its
     defining sequence a(0..2N-2): entry (i, j) is seq[i + j].  The empty
-    matrix has the empty sequence."""
+    matrix has the empty sequence.  Each value is coerced into the ring,
+    so an int becomes a constant of Z[t], and a UniPoly over Z raises
+    TypeError."""
 
     ring: _Ring
     seq: tuple[Scalar, ...]
@@ -30,6 +32,7 @@ class HankelMatrix:
     def __post_init__(self):
         if len(self.seq) % 2 == 0 and self.seq:
             raise ValueError(f"a Hankel sequence has odd length 2N - 1, not {len(self.seq)}")
+        object.__setattr__(self, "seq", tuple(map(self.ring.coerce, self.seq)))
 
     @property
     def n(self) -> int:
@@ -141,30 +144,10 @@ def det_fraction_free(m: HankelMatrix) -> Scalar:
 def family_dets(family: Family, shift: int, top: int) -> list[Scalar]:
     """Hankel determinants of sizes 0..top of one convolution family, each
     in the family's ring, all read from one chain on the top x top
-    matrix.  Raises ValueError for top < 0.
+    matrix.  Raises ValueError for top < 0; the size N determinant alone
+    is ``family_dets(family, shift, N)[-1]``.
 
     Entry (i, j) is family.value(i + j + shift); negative indices give zero.
     """
     return leading_minors(hankel_matrix(family.ring, family.value, shift, top))
 
-
-def catalan_dets(k: int, shift: int, top: int) -> list[int]:
-    """Hankel determinants of sizes 0..top of the k-th Catalan convolution
-    power, from one sweep.  Raises ValueError for k < 1 or top < 0."""
-    return family_dets(Family(CATALAN_CONV, k), shift, top)
-
-
-def narayana_dets(k: int, shift: int, top: int) -> list[UniPoly]:
-    """Hankel determinants of sizes 0..top of the k-th mixed Narayana
-    convolution power, from one sweep, each as a UniPoly."""
-    return family_dets(Family(NARAYANA_CONV, k), shift, top)
-
-
-def catalan_det(k: int, shift: int, size: int) -> int:
-    """Hankel determinant of the k-th Catalan convolution power, size x size."""
-    return catalan_dets(k, shift, size)[-1]
-
-
-def narayana_det(k: int, shift: int, size: int) -> UniPoly:
-    """Hankel determinant of the k-th mixed Narayana convolution power."""
-    return narayana_dets(k, shift, size)[-1]

@@ -9,11 +9,11 @@ import random
 from catalan_hankel import (
     INTEGER_RING,
     POLY_RING,
+    Family,
     HankelMatrix,
     UniPoly,
-    catalan_det,
     det_fraction_free,
-    narayana_det,
+    family_dets,
     summarize,
 )
 from catalan_hankel.verify import run_suite
@@ -43,7 +43,8 @@ GOLDEN_INT = {
 def test_01_golden_integer_sequences():
     ok = True
     for (k, shift), expected in GOLDEN_INT.items():
-        got = [catalan_det(k, shift, n) for n in range(len(expected))]
+        family = Family("catalan-conv", k)
+        got = [family_dets(family, shift, n)[-1] for n in range(len(expected))]
         ok = ok and got == expected
     _criterion(1, "golden integer determinant sequences", ok)
 
@@ -99,7 +100,8 @@ GOLDEN_POLY = {
 def test_02_golden_polynomial_sequences():
     ok = True
     for (k, shift), expected in GOLDEN_POLY.items():
-        got = [narayana_det(k, shift, n).coeffs for n in range(len(expected))]
+        family = Family("narayana-conv", k)
+        got = [family_dets(family, shift, n)[-1].coeffs for n in range(len(expected))]
         ok = ok and got == list(expected)
     _criterion(2, "golden polynomial determinant sequences", ok)
 
@@ -109,9 +111,9 @@ def test_02_golden_polynomial_sequences():
 def test_03_unit_determinants():
     ok = True
     for n in range(13):
-        ok = ok and catalan_det(1, 0, n) == 1
-        ok = ok and catalan_det(1, 1, n) == 1
-        ok = ok and catalan_det(2, 0, n) == 1
+        ok = ok and family_dets(Family("catalan-conv", 1), 0, n)[-1] == 1
+        ok = ok and family_dets(Family("catalan-conv", 1), 1, n)[-1] == 1
+        ok = ok and family_dets(Family("catalan-conv", 2), 0, n)[-1] == 1
     _criterion(3, "unit Hankel determinants up to size 12", ok)
 
 

@@ -269,6 +269,17 @@ def test_hankel_single_size(capsys):
     assert json.loads(out) == {"n": 4, "value": [0, 0, 0, 0, 1, 0, 1, 0, 1]}
 
 
+def test_sizes_option_prefixes(capsys):
+    # argparse maps an unambiguous prefix of --sizes to it.
+    outs = [
+        run_cli(capsys, "hankel", "--family", "catalan-conv", "--k", "4", "--shift", "-2",
+                option, "3..5")
+        for option in ("--sizes", "--size", "--siz")
+    ]
+    assert outs[0] == (0, "3: -1\n4: -1\n5: 2\n", "")
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+
+
 def test_hankel_matrix_output(capsys):
     code, out, _ = run_cli(
         capsys, "hankel", "--family", "catalan-conv", "--k", "2", "--sizes", "3",

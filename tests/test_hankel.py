@@ -7,18 +7,16 @@ from hypothesis import strategies as st
 from catalan_hankel import (
     INTEGER_RING,
     POLY_RING,
+    Family,
     HankelMatrix,
     UniPoly,
     catalan_conv,
-    catalan_det,
-    catalan_dets,
     det_fraction_free,
+    family_dets,
     hankel,
     hankel_matrix,
     leading_minors,
     narayana_conv,
-    narayana_det,
-    narayana_dets,
 )
 from catalan_hankel.report import encode_value
 
@@ -84,10 +82,22 @@ def test_minors_start_from_the_ring_one():
     for d in (
         det_fraction_free(HankelMatrix(POLY_RING, ())),
         leading_minors(sweep)[0],
-        narayana_dets(2, 0, 0)[0],
+        family_dets(Family("narayana-conv", 2), 0, 0)[0],
     ):
         assert type(d) is UniPoly and d == one
     assert type(det_fraction_free(HankelMatrix(INTEGER_RING, ()))) is int
+
+
+def test_matrix_values_live_in_its_ring():
+    # An int is a constant of Z[t], so every minor is a UniPoly.
+    d = det_fraction_free(HankelMatrix(POLY_RING, (2,)))
+    assert type(d) is UniPoly and d == UniPoly((2,))
+    minors = leading_minors(HankelMatrix(POLY_RING, (1, 2, 5)))
+    assert minors == [UniPoly((1,))] * 3
+    assert all(type(d) is UniPoly for d in minors)
+    # A polynomial is not an integer.
+    with pytest.raises(TypeError):
+        HankelMatrix(INTEGER_RING, (UniPoly((0, 1)),))
 
 
 def test_det_zero_pivot_row_swap():
@@ -191,43 +201,43 @@ def test_det_commutes_with_evaluation():
 
 def test_unit_hankel_determinants():
     for n in range(11):
-        assert catalan_det(1, 0, n) == 1
-        assert catalan_det(1, 1, n) == 1
-        assert catalan_det(2, 0, n) == 1
+        assert family_dets(Family("catalan-conv", 1), 0, n)[-1] == 1
+        assert family_dets(Family("catalan-conv", 1), 1, n)[-1] == 1
+        assert family_dets(Family("catalan-conv", 2), 0, n)[-1] == 1
 
 
 def test_narayana_det_power_pattern():
     from catalan_hankel import binomial
 
+    narayana = Family("narayana-conv", 1)
     for n in range(7):
         for shift in (0, 1):
-            assert narayana_det(1, shift, n) == UniPoly.monomial(binomial(n, 2))
-    assert narayana_det(1, 0, 0) == UniPoly((1,))
+            assert family_dets(narayana, shift, n)[-1] == UniPoly.monomial(binomial(n, 2))
+    assert family_dets(narayana, 0, 0)[-1] == UniPoly((1,))
 
 
 def test_family_validation():
     with pytest.raises(ValueError):
-        catalan_det(0, 0, 3)
+        family_dets(Family("catalan-conv", 0), 0, 3)
     with pytest.raises(ValueError):
-        narayana_det(2, 0, -1)
+        family_dets(Family("narayana-conv", 2), 0, -1)
 
 
 @pytest.mark.parametrize(
-    "fn, k, size",
+    "kind, k, size",
     [
-        (catalan_det, 0, 0),
-        (narayana_det, -3, 0),
-        (catalan_dets, 0, 0),
-        (narayana_dets, 0, 2),
-        (catalan_det, 1, -1),
-        (catalan_dets, 2, -1),
-        (narayana_dets, 1, -1),
+        ("catalan-conv", 0, 0),
+        ("narayana-conv", -3, 0),
+        ("narayana-conv", 0, 2),
+        ("catalan-conv", 1, -1),
+        ("catalan-conv", 2, -1),
+        ("narayana-conv", 1, -1),
     ],
 )
-def test_power_and_size_checked_before_any_entry(fn, k, size):
+def test_power_and_size_checked_before_any_entry(kind, k, size):
     # size 0 reads no entry, so k must be checked up front
     with pytest.raises(ValueError):
-        fn(k, 0, size)
+        family_dets(Family(kind, k), 0, size)
 
 
 def assert_minors_match_per_size(rows, one, minors):
@@ -248,7 +258,7 @@ def test_leading_minors_match_per_size_catalan_grid():
         for shift in range(-6, 3):
             m = hankel_matrix(INTEGER_RING, lambda n: catalan_conv(k, n), shift, 30)
             assert_library_minors_match_per_size(m)
-            assert catalan_dets(k, shift, 30) == leading_minors(m)
+            assert family_dets(Family("catalan-conv", k), shift, 30) == leading_minors(m)
 
 
 def test_leading_minors_match_per_size_narayana_grid():
@@ -256,7 +266,7 @@ def test_leading_minors_match_per_size_narayana_grid():
         for shift in range(-3, 2):
             m = hankel_matrix(POLY_RING, lambda n: narayana_conv(k, n), shift, 9)
             assert_library_minors_match_per_size(m)
-            dets = narayana_dets(k, shift, 9)
+            dets = family_dets(Family("narayana-conv", k), shift, 9)
             assert all(type(d) is UniPoly for d in dets)
             assert dets == leading_minors(m)
 
@@ -327,7 +337,7 @@ def test_sweep_costs_one_elimination(monkeypatch):
         return real_div(a, b)
 
     monkeypatch.setattr(hankel, "exact_div", counting_div)
-    dets = catalan_dets(4, -2, 40)
+    dets = family_dets(Family("catalan-conv", 4), -2, 40)
     assert dets[:6] == [1, 0, 0, -1, -1, 2]
     # The chain divides O(N^2) coefficients; one 40 x 40 elimination
     # divides about 19 000 entries.

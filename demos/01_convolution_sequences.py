@@ -3,7 +3,7 @@
 Integer rows are convolution powers of the Catalan numbers; polynomial
 rows alternate the plain and weighted Narayana generating functions.
 '''
-from catalan_hankel import catalan_conv, narayana_conv, render_poly
+from catalan_hankel import catalan_conv, narayana_conv
 
 N = 10
 
@@ -15,7 +15,7 @@ for k in range(1, 6):
 print()
 print("mixed Narayana convolution powers, k = 1..4")
 for k in range(1, 5):
-    row = [render_poly(narayana_conv(k, n)) for n in range(5)]
+    row = [str(narayana_conv(k, n)) for n in range(5)]
     print(f"  k={k}: " + " | ".join(row))
 
 # the polynomial rows collapse to the integer rows at t = 1

@@ -6,10 +6,10 @@ size N determinant of forward shifted coefficients of t.
 '''
 import random
 
-from catalan_hankel import catalan, check_reciprocal_duality
+from catalan_hankel import catalan_conv, check_reciprocal_duality
 
 # structured instance: the Catalan generating function itself
-report = check_reciprocal_duality([catalan(n) for n in range(12)], shift=1, size=3)
+report = check_reciprocal_duality([catalan_conv(1, n) for n in range(12)], shift=1, size=3)
 print(report)
 print("  lhs:", report.lhs, " rhs:", report.rhs)
 

@@ -10,14 +10,13 @@ from catalan_hankel import (
     narayana_conv,
     path_weight_sum,
     path_weight_sum_table,
-    render_poly,
 )
 
 # list every path of length 5 ending at height 1 by its running heights,
 # with its weight t^(down steps landing at odd height)
 print("paths of length 5 to height 1")
 for heights, odd_downs in enumerate_paths(5, 1):
-    print(f"  {heights}: {render_poly(UniPoly.monomial(odd_downs))}")
+    print(f"  {heights}: {UniPoly.monomial(odd_downs)}")
 
 print()
 print("weighted totals vs convolution coefficients")
@@ -27,7 +26,7 @@ for k in range(1, 4):
         total = path_weight_sum(length, height)
         target = narayana_conv(k, n)
         mark = "ok" if total == target else "MISMATCH"
-        print(f"  k={k} n={n}: {render_poly(total)}  [{mark}]")
+        print(f"  k={k} n={n}: {total}  [{mark}]")
         assert total == target
 
 # the closed-form table reproduces the brute force enumeration

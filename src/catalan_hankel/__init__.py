@@ -16,19 +16,16 @@ from .polyring import (
     UniPoly,
     binomial,
     exact_div,
-    render_poly,
 )
 from .series import Series, TruncationError
 from .families import (
     Family,
-    catalan,
     catalan_conv,
     catalan_series,
     companion_poly,
     companion_poly_t,
     lucas,
     mixed_powers,
-    narayana,
     narayana_conv,
     narayana_series,
     narayana_series_weighted,
@@ -58,7 +55,6 @@ __all__ = [
     "TruncationError",
     "UniPoly",
     "binomial",
-    "catalan",
     "catalan_conv",
     "catalan_series",
     "check_reciprocal_duality",
@@ -72,12 +68,10 @@ __all__ = [
     "leading_minors",
     "lucas",
     "mixed_powers",
-    "narayana",
     "narayana_conv",
     "narayana_series",
     "narayana_series_weighted",
     "path_weight_sum",
     "path_weight_sum_table",
-    "render_poly",
     "summarize",
 ]

@@ -1,15 +1,15 @@
 """The sequence and polynomial families whose Hankel determinants we study.
 
 Integer side
-    ``catalan(n)``          1, 1, 2, 5, 14, 42, ...; catalan_conv(1, n).
     ``catalan_conv(k, n)``  coefficient of x^n in c(x)^k, where c is the
                             Catalan generating function; closed form
                             k/(n+k) * C(2n+k-1, n), an integer for all k >= 1.
+                            At k = 1 these are the Catalan numbers
+                            1, 1, 2, 5, 14, 42, ...
 
 Polynomial side (weight variable t)
-    ``narayana(n)``         the Narayana polynomial C_n(t), that is
-                            narayana_conv(1, n); at t=1 it collapses to
-                            catalan(n).
+    The Narayana polynomial C_n(t) is ``narayana_conv(1, n)``; at t=1 it
+    collapses to the Catalan number catalan_conv(1, n).
     ``narayana_series(order)``           c0(x,t) = sum C_n(t) x^n
     ``narayana_series_weighted(order)``  c1(x,t) = 1 + t * sum_{n>=1} C_n(t) x^n
     ``mixed_powers(k_max, order)``       [c^(0), ..., c^(k_max)], the
@@ -43,11 +43,6 @@ from .polyring import INTEGER_RING, POLY_RING, T, UniPoly, _Ring, binomial
 from .series import Series
 
 
-def catalan(n: int) -> int:
-    """The n-th Catalan number, catalan_conv(1, n)."""
-    return catalan_conv(1, n)
-
-
 def catalan_conv(k: int, n: int) -> int:
     """Coefficient of x^n in the k-th power of the Catalan series."""
     if k < 1:
@@ -58,24 +53,19 @@ def catalan_conv(k: int, n: int) -> int:
 
 
 def catalan_series(order: int) -> Series:
-    return Series(INTEGER_RING, [catalan(n) for n in range(order)])
-
-
-def narayana(n: int) -> UniPoly:
-    """The Narayana polynomial C_n(t), narayana_conv(1, n)."""
-    return narayana_conv(1, n)
+    return Series(INTEGER_RING, [catalan_conv(1, n) for n in range(order)])
 
 
 def narayana_series(order: int) -> Series:
     """c0(x,t): ordinary generating function of the Narayana polynomials."""
-    return Series(POLY_RING, [narayana(n) for n in range(order)])
+    return Series(POLY_RING, [narayana_conv(1, n) for n in range(order)])
 
 
 def narayana_series_weighted(order: int) -> Series:
     """c1(x,t) = 1 - t + t*c0(x,t): every positive-index coefficient gains t."""
     coeffs: list[UniPoly] = [UniPoly((1,))]
     for n in range(1, order):
-        coeffs.append(T * narayana(n))
+        coeffs.append(T * narayana_conv(1, n))
     return Series(POLY_RING, coeffs)
 
 

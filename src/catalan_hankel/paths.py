@@ -31,11 +31,15 @@ def enumerate_paths(length: int, height: int) -> Iterator[tuple[tuple[int, ...],
     before down.  The arguments are checked here, at the call, not at the
     first ``next``.
     """
+    _check_path_args(length, height)
+    return _walk(length, height)
+
+
+def _check_path_args(length: int, height: int) -> None:
     if length < 0:
         raise ValueError(f"path length {length} must be >= 0")
     if height < 0:
         raise ValueError(f"end height {height} must be >= 0")
-    return _walk(length, height)
 
 
 def _walk(length: int, height: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -89,8 +93,7 @@ def path_weight_sum_table(length: int, height: int) -> UniPoly:
     read from its closed form.  Independent of the enumeration above, which
     is what makes the agreement test meaningful.
     """
-    if length < 0 or height < 0:
-        raise ValueError("length and height must be >= 0")
+    _check_path_args(length, height)
     if height > length or (length - height) % 2:
         return UniPoly()
     return narayana_conv(height + 1, (length - height) // 2)

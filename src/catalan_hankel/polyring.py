@@ -172,7 +172,24 @@ class UniPoly:
         return f"UniPoly({self.coeffs!r})"
 
     def __str__(self) -> str:
-        return render_poly(self)
+        """Human form, ascending powers, explicit signs: ``1 - 3*t + t^2``."""
+        if not self.coeffs:
+            return "0"
+        parts: list[str] = []
+        for e, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            mag = abs(c)
+            if e == 0:
+                term = str(mag)
+            else:
+                head = "t" if e == 1 else f"t^{e}"
+                term = head if mag == 1 else f"{mag}*{head}"
+            if not parts:
+                parts.append(term if c > 0 else f"-{term}")
+            else:
+                parts.append(f"+ {term}" if c > 0 else f"- {term}")
+        return " ".join(parts)
 
 
 #: The generator t of Z[t].
@@ -198,27 +215,6 @@ class _Ring:
 
 INTEGER_RING = _Ring("ZZ", 0, 1)
 POLY_RING = _Ring("ZZ[t]", UniPoly(), UniPoly((1,)))
-
-
-def render_poly(p: UniPoly, var: str = "t") -> str:
-    """Human form, ascending powers, explicit signs: ``1 - 3*t + t^2``."""
-    if not p.coeffs:
-        return "0"
-    parts: list[str] = []
-    for e, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        mag = abs(c)
-        if e == 0:
-            term = str(mag)
-        else:
-            head = var if e == 1 else f"{var}^{e}"
-            term = head if mag == 1 else f"{mag}*{head}"
-        if not parts:
-            parts.append(term if c > 0 else f"-{term}")
-        else:
-            parts.append(f"+ {term}" if c > 0 else f"- {term}")
-    return " ".join(parts)
 
 
 def exact_div(a: Scalar, b: Scalar) -> Scalar:

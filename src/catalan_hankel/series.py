@@ -61,9 +61,6 @@ class Series:
             return NotImplemented
         return self.ring is other.ring and self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash((id(self.ring), self.coeffs))
-
     def _match(self, other: "Series"):
         if self.ring is not other.ring:
             raise TypeError(
@@ -133,13 +130,6 @@ class Series:
         if k < 0:
             raise ValueError("shift must be non-negative")
         return Series(self.ring, (self.ring.zero,) * k + self.coeffs)
-
-    def truncated(self, order: int) -> "Series":
-        if order > len(self.coeffs):
-            raise TruncationError(
-                f"cannot extend from order {self.order} to {order}"
-            )
-        return Series(self.ring, self.coeffs[:order])
 
     def __repr__(self) -> str:
         return f"Series({self.ring.name}, order={self.order}, {list(self.coeffs)!r})"

@@ -26,7 +26,6 @@ from .families import (
     companion_poly_t,
     lucas,
     mixed_powers,
-    narayana,
     narayana_conv,
     narayana_series,
     narayana_series_weighted,
@@ -76,20 +75,15 @@ def check_reciprocal_duality(
     return equal_report("duality", params, lhs, rhs)
 
 
-def random_duality_reports(
-    count: int = 50,
-    seed: int = DEFAULT_SEED,
-    shift_max: int = 3,
-    size_max: int = 5,
-    coeff_bound: int = 9,
-) -> list[CheckReport]:
-    """Seeded random integer series, constant coefficient pinned to 1."""
+def random_duality_reports(count: int = 50, seed: int = DEFAULT_SEED) -> list[CheckReport]:
+    """Seeded random integer series, constant coefficient pinned to 1: shift
+    0..3, size 1..5, coefficients in -9..9."""
     rng = random.Random(seed)
     reports = []
     for i in range(count):
-        shift = rng.randint(0, shift_max)
-        size = rng.randint(1, size_max)
-        coeffs = [1] + [rng.randint(-coeff_bound, coeff_bound) for _ in range(2 * size + shift)]
+        shift = rng.randint(0, 3)
+        size = rng.randint(1, 5)
+        coeffs = [1] + [rng.randint(-9, 9) for _ in range(2 * size + shift)]
         reports.append(check_reciprocal_duality(coeffs, shift, size, extra={"index": i}))
     return reports
 
@@ -136,7 +130,11 @@ def check_shift_theorem(name: str, k: int, m: int, n_max: int) -> list[CheckRepo
     m = 0 instance is false (the companion polynomial's top coefficient
     only vanishes at t = 1), and the checker refuses to state it.
     """
-    kind, odd = SHIFT_THEOREMS[name]
+    try:
+        kind, odd = SHIFT_THEOREMS[name]
+    except KeyError:
+        raise ValueError(f"unknown shift theorem {name!r}; choose from "
+                         f"{', '.join(SHIFT_THEOREMS)}") from None
     if k < 1 or m < 0:
         raise ValueError("need k >= 1 and m >= 0")
     K = 2 * k - odd
@@ -376,7 +374,7 @@ def check_series_identities(
                  conv(2 * k + 1, n), conv(2 * k, n) + conv(2 * k + 2, n - 1)),
             ]
     rows += [
-        ("identity/conv-square-shift", {"n": n}, narayana_conv(2, n), narayana(n + 1))
+        ("identity/conv-square-shift", {"n": n}, narayana_conv(2, n), narayana_conv(1, n + 1))
         for n in range(9)
     ]
     rows += [

@@ -198,7 +198,7 @@ def test_hankel_prints_values_past_the_int_str_limit(capsys, fmt):
     assert sys.get_int_max_str_digits() == limit  # the process-wide limit is restored
     sys.set_int_max_str_digits(0)
     try:
-        digits = str(comb(14400, 7200) // 7201)  # catalan(7200)
+        digits = str(comb(14400, 7200) // 7201)  # catalan_conv(1, 7200)
     finally:
         sys.set_int_max_str_digits(limit)
     assert len(digits) > 4300
@@ -386,13 +386,26 @@ def test_paths_list_limit(capsys):
     assert (code, json.loads(out)["weight"]) == (0, narayana_13)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (("--length", "-1", "--height", "0"), "error: path length -1 must be >= 0\n"),
+        (("--length", "2", "--height", "-1"), "error: end height -1 must be >= 0\n"),
+    ],
+)
+def test_paths_bad_argument_same_message_in_both_forms(capsys, bad, message):
+    for listing in ((), ("--list",)):
+        code, out, err = run_cli(capsys, "paths", *listing, *bad)
+        assert (code, out, err) == (2, "", message)
+
+
 def test_paths_aggregate_has_no_cap(capsys):
     code, out, _ = run_cli(
         capsys, "paths", "--length", "30", "--height", "0", "--format", "json"
     )
     assert code == 0
     row = json.loads(out)
-    assert row["count"] == 9694845  # catalan(15)
+    assert row["count"] == 9694845  # catalan_conv(1, 15)
     assert row["weight"][:3] == [1, 105, 3185]
     code, out, _ = run_cli(capsys, "paths", "--length", "31", "--height", "0")
     assert (code, out) == (0, "0\n")

@@ -3,7 +3,7 @@
 import pytest
 
 import catalan_hankel
-from catalan_hankel import hankel
+from catalan_hankel import Series, hankel
 
 
 def test_star_import_binds_every_name_in_all():
@@ -25,3 +25,26 @@ def test_per_kind_reads_are_gone(name):
     for module in ("catalan_hankel", "catalan_hankel.hankel"):
         with pytest.raises(ImportError):
             exec(f"from {module} import {name}", {})
+
+
+# Names whose callers now use str(p), catalan_conv(1, n) and narayana_conv(1, n).
+REMOVED_ALIASES = [
+    ("polyring", "render" + "_poly"),
+    ("families", "cat" + "alan"),
+    ("families", "nara" + "yana"),
+]
+
+
+@pytest.mark.parametrize("module, name", REMOVED_ALIASES)
+def test_aliases_are_gone(module, name):
+    assert name not in catalan_hankel.__all__
+    for source in ("catalan_hankel", f"catalan_hankel.{module}"):
+        with pytest.raises(ImportError):
+            exec(f"from {source} import {name}", {})
+
+
+def test_series_has_no_truncation_method_or_own_hash():
+    assert not hasattr(Series, "trun" + "cated")
+    # __eq__ without __hash__: Python sets __hash__ to None, so series are
+    # unhashable rather than hashed by the identity of their ring.
+    assert Series.__hash__ is None

@@ -5,14 +5,12 @@ from catalan_hankel import (
     POLY_RING,
     Family,
     UniPoly,
-    catalan,
     catalan_conv,
     catalan_series,
     companion_poly,
     companion_poly_t,
     lucas,
     mixed_powers,
-    narayana,
     narayana_conv,
     narayana_series,
     narayana_series_weighted,
@@ -32,8 +30,8 @@ T = UniPoly((0, 1))
 
 
 def test_catalan_against_recurrence():
-    assert [catalan(n) for n in range(16)] == catalan_by_recurrence(16)
-    assert catalan(-1) == 0
+    assert [catalan_conv(1, n) for n in range(16)] == catalan_by_recurrence(16)
+    assert catalan_conv(1, -1) == 0
 
 
 def test_catalan_conv_closed_form_against_convolution():
@@ -54,8 +52,8 @@ def test_catalan_power_series_matches_closed_form():
 
 def test_narayana_against_peak_counting():
     for n in range(9):
-        assert narayana(n) == narayana_by_peaks(n)
-    assert narayana(-1) == UniPoly()
+        assert narayana_conv(1, n) == narayana_by_peaks(n)
+    assert narayana_conv(1, -1) == UniPoly()
 
 
 def test_narayana_printed_values():
@@ -67,12 +65,12 @@ def test_narayana_printed_values():
         (1, 6, 6, 1),
         (1, 10, 20, 10, 1),
     ]
-    assert [narayana(n).coeffs for n in range(6)] == expected
+    assert [narayana_conv(1, n).coeffs for n in range(6)] == expected
 
 
 def test_narayana_collapses_to_catalan_at_one():
     for n, c in enumerate(catalan_by_recurrence(12)):
-        assert narayana(n)(1) == c
+        assert narayana_conv(1, n)(1) == c
 
 
 def test_weighted_series_definition():

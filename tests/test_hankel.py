@@ -253,12 +253,22 @@ def assert_library_minors_match_per_size(m):
     assert_minors_match_per_size(m.rows, m.ring.one, leading_minors(m))
 
 
-def test_leading_minors_match_per_size_catalan_grid():
+def assert_library_minors_match_sweep(m):
+    """``leading_minors(m)`` against the independent sweep oracle, in value
+    and type; returns the minors."""
+    minors, swept = leading_minors(m), sweep_minors(m.rows, m.ring.one)
+    assert minors == swept and list(map(type, minors)) == list(map(type, swept))
+    return minors
+
+
+def test_leading_minors_match_sweep_catalan_grid():
+    # sweep_minors is checked against per_size_det by the sparse tests, and
+    # the Narayana grid below keeps per_size_det on family matrices.
     for k in range(1, 10):
         for shift in range(-6, 3):
             m = hankel_matrix(INTEGER_RING, lambda n: catalan_conv(k, n), shift, 30)
-            assert_library_minors_match_per_size(m)
-            assert family_dets(Family("catalan-conv", k), shift, 30) == leading_minors(m)
+            minors = assert_library_minors_match_sweep(m)
+            assert family_dets(Family("catalan-conv", k), shift, 30) == minors
 
 
 def test_leading_minors_match_per_size_narayana_grid():
@@ -291,11 +301,9 @@ def test_leading_minors_match_per_size_sparse_poly(m, h):
 
 
 def assert_minors_match_every_oracle(m):
-    minors, rows = leading_minors(m), m.rows
-    assert_minors_match_per_size(rows, m.ring.one, minors)
-    swept = sweep_minors(rows, m.ring.one)
-    assert minors == swept and list(map(type, minors)) == list(map(type, swept))
-    for d, block in list(zip(minors, leading_blocks(rows)))[1:7]:
+    minors = assert_library_minors_match_sweep(m)
+    assert_minors_match_per_size(m.rows, m.ring.one, minors)
+    for d, block in list(zip(minors, leading_blocks(m.rows)))[1:7]:
         expected = cofactor_det(block)
         assert d == expected and type(d) is type(expected)
 

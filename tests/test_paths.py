@@ -5,9 +5,8 @@ import pytest
 
 from catalan_hankel import (
     UniPoly,
-    catalan,
+    catalan_conv,
     enumerate_paths,
-    narayana,
     narayana_conv,
     path_weight_sum,
     path_weight_sum_table,
@@ -67,7 +66,7 @@ def test_enumeration_is_lazy():
 
 def test_enumeration_counts_are_catalan():
     for n in range(7):
-        assert sum(1 for _ in enumerate_paths(2 * n, 0)) == catalan(n)
+        assert sum(1 for _ in enumerate_paths(2 * n, 0)) == catalan_conv(1, n)
 
 
 def test_path_heights_and_validation():
@@ -110,7 +109,7 @@ def test_weight_sum_recurrence_agreement():
 def test_closed_paths_give_narayana():
     # even length, end at 0: the weight sum is the Narayana polynomial
     for n in range(7):
-        assert path_weight_sum(2 * n, 0) == narayana(n)
+        assert path_weight_sum(2 * n, 0) == narayana_conv(1, n)
 
 
 def test_weight_identity_reports():

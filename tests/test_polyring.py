@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catalan_hankel import ExactDivisionError, T, UniPoly, binomial, exact_div, render_poly
+from catalan_hankel import ExactDivisionError, T, UniPoly, binomial, exact_div
 
 from oracles import dadd, dmul, dpoly, dpoly_to_tuple, pascal_binomial
 
@@ -114,12 +114,11 @@ def test_binomial_conventions():
 
 
 def test_render():
-    assert render_poly(UniPoly((1, -3, 1))) == "1 - 3*t + t^2"
-    assert render_poly(UniPoly()) == "0"
-    assert render_poly(T) == "t"
-    assert render_poly(UniPoly((0, -1))) == "-t"
-    assert render_poly(UniPoly((-1, 0, -2))) == "-1 - 2*t^2"
-    assert render_poly(UniPoly((0, 0, 3)), var="x") == "3*x^2"
+    assert str(UniPoly((1, -3, 1))) == "1 - 3*t + t^2"
+    assert str(UniPoly()) == "0"
+    assert str(T) == "t"
+    assert str(UniPoly((0, -1))) == "-t"
+    assert str(UniPoly((-1, 0, -2))) == "-1 - 2*t^2"
 
 
 def test_immutability():

@@ -118,9 +118,6 @@ def test_shift_gains_order():
 
 def test_truncated_and_zero_extended():
     s = Series(INTEGER_RING, [1, 2, 3])
-    assert s.truncated(2).coeffs == (1, 2)
-    with pytest.raises(TruncationError):
-        s.truncated(4)
     # a known polynomial is zero-extended by from_polynomial, which truncates too
     assert Series.from_polynomial(INTEGER_RING, s.coeffs, 5).coeffs == (1, 2, 3, 0, 0)
-    assert Series.from_polynomial(INTEGER_RING, s.coeffs, 2) == s.truncated(2)
+    assert Series.from_polynomial(INTEGER_RING, s.coeffs, 2).coeffs == (1, 2)

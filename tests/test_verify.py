@@ -105,6 +105,8 @@ def test_theorem_validation():
         check_shift_theorem("even-conv", 0, 1, n_max=6)
     with pytest.raises(ValueError):
         check_shift_theorem("odd-conv", 1, -1, n_max=6)
+    with pytest.raises(ValueError, match="even-conv, odd-conv, even-conv-t, odd-conv-t"):
+        check_shift_theorem("nope", 1, 1, 1)
 
 
 def test_zero_range_reports_include_structure():

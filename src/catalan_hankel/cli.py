@@ -19,7 +19,7 @@ from .families import CATALAN_CONV, FAMILY_KINDS, NARAYANA_CONV, Family
 from .hankel import family_dets, hankel_matrix
 from .paths import enumerate_paths, path_weight_sum_table
 from .polyring import INTEGER_RING, UniPoly
-from .report import encode_value, render_value, summarize
+from .report import encode_value, summarize
 from .verify import DEFAULT_SEED, SUITE_ORDER, run_suite
 
 FORMATS = ("plain", "csv", "json")
@@ -47,18 +47,33 @@ def _check_limits(group: str, **values: int) -> None:
             raise ValueError(f"{option} {value} is over the {group} limit {limit}")
 
 
-def _emit_rows(rows, fmt: str) -> None:
-    if fmt == "csv":
+_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
+def _print_json(obj) -> None:
+    """Print an already-encoded JSON object as one compact line."""
+    print(_JSON.encode(obj))
+
+
+def _emit(records, fmt: str, plain) -> None:
+    """Print each record (a dict of raw values) before the next is computed:
+    as a JSON object, as a csv row of JSON cells under an ``n,value`` header
+    (``seq`` and ``hankel`` records only), or as the line ``plain(record)``."""
+    if fmt == "json":
+        for r in records:
+            _print_json({key: encode_value(v) for key, v in r.items()})
+    elif fmt == "csv":
+        fields = ("n", "value")
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["n", "value"])
-        for n, v in rows:
-            writer.writerow([n, json.dumps(encode_value(v), separators=(",", ":"))])
-    elif fmt == "json":
-        for n, v in rows:
-            print(json.dumps({"n": n, "value": encode_value(v)}, separators=(",", ":")))
+        writer.writerow(fields)
+        writer.writerows([_JSON.encode(encode_value(r[f])) for f in fields] for r in records)
     else:
-        for n, v in rows:
-            print(f"{n}: {render_value(v)}")
+        for r in records:
+            print(plain(r))
+
+
+#: The plain line of a ``seq`` or ``hankel`` record; each value prints as ``str(value)``.
+_plain_row = "{n}: {value}".format_map
 
 
 def _check_t_eval(family: Family, t_eval) -> None:
@@ -90,8 +105,10 @@ def _cmd_seq(args) -> int:
     family = Family(args.family, args.k)
     _check_t_eval(family, args.t_eval)
     # A generator, so each row is printed before the next is computed.
-    rows = ((n, _maybe_eval(family.value(n), args.t_eval)) for n in range(args.n_max + 1))
-    _emit_rows(rows, args.format)
+    rows = (
+        {"n": n, "value": _maybe_eval(family.value(n), args.t_eval)} for n in range(args.n_max + 1)
+    )
+    _emit(rows, args.format, _plain_row)
     return 0
 
 
@@ -103,23 +120,25 @@ def _cmd_hankel(args) -> int:
         raise ValueError("matrix sizes must be >= 0")
     if args.matrix and len(sizes) != 1:
         raise ValueError("--matrix wants exactly one size")
+    if args.matrix and args.format == "csv":
+        raise ValueError("--matrix prints JSON and takes no --format csv")
     _check_t_eval(family, args.t_eval)
     if args.matrix:
         m = hankel_matrix(family.ring, family.value, args.shift, sizes[0])
         rows = [[_maybe_eval(v, args.t_eval) for v in row] for row in m.rows]
-        print(json.dumps({"n": m.n, "rows": encode_value(rows)}, separators=(",", ":")))
+        _print_json({"n": m.n, "rows": encode_value(rows)})
         return 0
     # The sizes are one contiguous range, read from one sweep of the largest.
     dets = family_dets(family, args.shift, sizes[-1])
-    rows = [(size, _maybe_eval(dets[size], args.t_eval)) for size in sizes]
-    _emit_rows(rows, args.format)
+    rows = ({"n": size, "value": _maybe_eval(dets[size], args.t_eval)} for size in sizes)
+    _emit(rows, args.format, _plain_row)
     return 0
 
 
 def _cmd_verify(args) -> int:
     reports = run_suite(args.suite, seed=args.seed)
     for r in reports:
-        print(json.dumps(r.to_json(), separators=(",", ":")))
+        _print_json(r.to_json())
     total, failed = summarize(reports)
     print(
         f"{args.suite}: {total} checks, {total - failed} passed, {failed} failed",
@@ -131,34 +150,13 @@ def _cmd_verify(args) -> int:
 def _cmd_paths(args) -> int:
     _check_limits("paths --list" if args.list else "paths", length=args.length)
     if args.list:
-        for heights, odd_downs in enumerate_paths(args.length, args.height):
-            weight = UniPoly.monomial(odd_downs)
-            if args.format == "json":
-                print(
-                    json.dumps(
-                        {"heights": list(heights), "weight": encode_value(weight)},
-                        separators=(",", ":"),
-                    )
-                )
-            else:
-                pretty = "(" + ",".join(str(h) for h in heights) + ")"
-                print(f"{pretty}: {render_value(weight)}")
+        walk = enumerate_paths(args.length, args.height)
+        paths = ({"heights": hs, "weight": UniPoly.monomial(odd)} for hs, odd in walk)
+        _emit(paths, args.format, lambda r: f"({','.join(map(str, r['heights']))}): {r['weight']}")
         return 0
     total = path_weight_sum_table(args.length, args.height)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "length": args.length,
-                    "height": args.height,
-                    "count": total(1),
-                    "weight": encode_value(total),
-                },
-                separators=(",", ":"),
-            )
-        )
-    else:
-        print(render_value(total))
+    record = {"length": args.length, "height": args.height, "count": total(1), "weight": total}
+    _emit([record], args.format, lambda r: str(r["weight"]))
     return 0
 
 

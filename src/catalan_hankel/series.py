@@ -84,15 +84,6 @@ class Series:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Series":
-        return Series(self.ring, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, Series):
             self._match(other)

@@ -1,3 +1,5 @@
+import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -9,8 +11,10 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from catalan_hankel import ExactDivisionError, TruncationError, cli, families, hankel
+from catalan_hankel import ExactDivisionError, TruncationError, UniPoly, cli, families, hankel
 from catalan_hankel.cli import main
 
 
@@ -98,6 +102,59 @@ def test_seq_prints_each_row_before_computing_the_next(monkeypatch, fmt, header)
     assert len(out.getvalue().splitlines()) == 6 + header
 
 
+def _stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0, argv
+    return out.getvalue().splitlines()
+
+
+def _str(value):
+    """The plain form of a decoded JSON value: a list is a Z[t] coefficient list."""
+    return str(UniPoly(value)) if isinstance(value, list) else str(value)
+
+
+@st.composite
+def requests(draw):
+    command = draw(st.sampled_from(["seq", "hankel", "paths", "paths --list"]))
+    if command.startswith("paths"):
+        # a length of the end height's parity, so that some path exists
+        height = draw(st.integers(0, 4))
+        length = height + 2 * draw(st.integers(0, 4))
+        return command.split() + ["--length", str(length), "--height", str(height)]
+    family = draw(st.sampled_from(["catalan-conv", "narayana-conv"]))
+    argv = [command, "--family", family, "--k", str(draw(st.integers(1, 5)))]
+    if family == "narayana-conv" and draw(st.booleans()):
+        argv += ["--t-eval", str(draw(st.integers(-2, 2)))]
+    if command == "seq":
+        return argv + ["--n-max", str(draw(st.integers(0, 6)))]
+    lo = draw(st.integers(0, 5))
+    top = draw(st.integers(lo, 6))
+    return argv + ["--shift", str(draw(st.integers(-3, 3))), "--sizes", f"{lo}..{top}"]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(requests())
+def test_formats_agree(argv):
+    records = [json.loads(line) for line in _stdout(argv + ["--format", "json"])]
+    plain = _stdout(argv)
+    assert len(plain) == len(records)
+    if argv[0] == "paths":
+        for line, r in zip(plain, records):
+            if "--list" in argv:
+                assert line == f"({','.join(map(str, r['heights']))}): {_str(r['weight'])}"
+            else:
+                assert line == _str(r["weight"])
+                assert r["count"] == UniPoly(r["weight"])(1)
+        return
+    assert plain == [f"{r['n']}: {_str(r['value'])}" for r in records]
+    header, *rows = list(csv.reader(_stdout(argv + ["--format", "csv"])))
+    assert header == ["n", "value"]
+    assert [[json.loads(cell) for cell in row] for row in rows] == [
+        [r["n"], r["value"]] for r in records
+    ]
+
+
 def test_seq_t_eval_rejected_for_integers(capsys):
     code, _, err = run_cli(
         capsys, "seq", "--family", "catalan-conv", "--k", "1", "--n-max", "2",
@@ -132,6 +189,11 @@ def test_hankel_range_csv(capsys):
              "--sizes", "0..20"),
             "f407c17cf7cddb51ddf9b6b54a9e3d6f0054f78ab959f621002320d98392380f",
         ),
+        (
+            ("--family", "catalan-conv", "--k", "4", "--shift", "-2",
+             "--sizes", "0..60", "--format", "csv"),
+            "3367201f1489b15c9a946e8e6e20d17d4d97d313d54f72e220a3b26f6ff5b685",
+        ),
     ],
 )
 def test_hankel_sweep_digest(capsys, argv, digest):
@@ -155,6 +217,44 @@ def test_paths_list_digest(capsys, fmt, digest):
     )
     assert code == 0
     assert out.count("\n") == 1001
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("seq", "--family", "narayana-conv", "--k", "3", "--n-max", "30"),
+            "f03703f41bc76c2fd2675cef4a25eb2185f1a8f0451ee96158e223b6c498a03a",
+        ),
+        (
+            ("seq", "--family", "narayana-conv", "--k", "3", "--n-max", "30",
+             "--format", "csv"),
+            "a98a404dbf7be7f04e38f40f69cf289ad535962ed739e2993a0f514b76c0e179",
+        ),
+        (
+            ("seq", "--family", "narayana-conv", "--k", "3", "--n-max", "30",
+             "--format", "json"),
+            "f6bd34f29f4dc2c52bccb145e2a1802c3fd7fe623e3597c972094d016e077e1c",
+        ),
+        (
+            ("hankel", "--family", "narayana-conv", "--k", "3", "--sizes", "4", "--matrix"),
+            "de53861ed6b52777b06eeb365b8b7522e1e579861240e27e1ef291f96fafb943",
+        ),
+        (
+            ("paths", "--length", "30", "--height", "2", "--format", "json"),
+            "e2820fc310dc55e5507f4c127751d42b38ebbc5d25a0990beec90c02497c5351",
+        ),
+        (
+            ("paths", "--length", "30", "--height", "2"),
+            "4997ad6194782988188367c1e0f11a01c7e19405b9dad1110bc59c9cc9472444",
+        ),
+    ],
+)
+def test_output_digest(capsys, argv, digest):
+    # frozen from the per-command printers that one emitter replaced
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -314,6 +414,21 @@ def test_hankel_matrix_output(capsys):
         )
         assert (code, out) == (2, "")
         assert err == "error: --t-eval only applies to polynomial-valued output\n"
+
+
+def test_hankel_matrix_refuses_csv(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("read an entry for a refused request")
+
+    for name in ("catalan_conv", "narayana_conv"):
+        monkeypatch.setattr(families, name, no_work)
+    for family in ("catalan-conv", "narayana-conv"):
+        code, out, err = run_cli(
+            capsys, "hankel", "--family", family, "--sizes", "3", "--matrix",
+            "--format", "csv",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --matrix prints JSON and takes no --format csv\n"
 
 
 def test_hankel_bad_range(capsys):

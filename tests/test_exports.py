@@ -48,3 +48,9 @@ def test_series_has_no_truncation_method_or_own_hash():
     # __eq__ without __hash__: Python sets __hash__ to None, so series are
     # unhashable rather than hashed by the identity of their ring.
     assert Series.__hash__ is None
+
+
+def test_series_has_no_subtraction():
+    # nothing subtracts a series; addition and scalar multiplication remain
+    for name in ("__neg__", "__sub__", "__rsub__"):
+        assert not hasattr(Series, name)

@@ -39,7 +39,6 @@ def test_binary_ops_truncate_to_min_order():
     a = Series(INTEGER_RING, [1, 2, 3, 4])
     b = Series(INTEGER_RING, [1, 1])
     assert (a + b).order == 2
-    assert (a - b).order == 2
     assert (a * b).order == 2
     assert (a * b).coeffs == (1, 3)
 
@@ -50,12 +49,10 @@ def test_binary_ops_properties(data):
     ring, scalars = data.draw(rings)
     a, b = (Series(ring, data.draw(st.lists(scalars, max_size=7))) for _ in "ab")
     n = min(a.order, b.order)
-    assert (a + b).order == (a - b).order == (a * b).order == n
-    assert (a - b).coeffs == tuple(a.coeffs[i] - b.coeffs[i] for i in range(n))
+    assert (a + b).order == (a * b).order == n
+    assert (a + b).coeffs == tuple(a.coeffs[i] + b.coeffs[i] for i in range(n))
     assert (a * b).coeffs == tuple(convolve(list(a.coeffs), list(b.coeffs)))
-    assert a - b == a + (-b) and a + b == b + a
-    c = data.draw(scalars)
-    assert a - c == a + (-c)
+    assert a + b == b + a
 
 
 def test_mul_example():
@@ -68,7 +65,6 @@ def test_scalar_broadcast():
     assert (a + 1).coeffs == (2, 2, 3)
     assert (1 + a).coeffs == (2, 2, 3)
     assert (a * 2).coeffs == (2, 4, 6)
-    assert (2 - a).coeffs == (1, -2, -3)
     t = UniPoly((0, 1))
     p = Series(POLY_RING, [1, t])
     assert (p * t).coeffs == (t, UniPoly((0, 0, 1)))
@@ -79,8 +75,6 @@ def test_mixed_ring_rejected():
     b = Series(POLY_RING, [1, 2])
     with pytest.raises(TypeError):
         a + b
-    with pytest.raises(TypeError):
-        a - b
     with pytest.raises(TypeError):
         a * b
     with pytest.raises(TypeError):

@@ -2,9 +2,11 @@
 
 ``perfbench/`` lies outside the tier-1 test paths, so a change that deletes
 or renames a wrapped name would only show there.  This test installs the
-tracer in a fresh process and serves three small requests through it: a
+tracer in a fresh process and serves five small requests through it: a
 ``hankel`` sweep, a ``verify`` suite whose duality checks take single
-determinants, and the ``verify`` suite that walks and tallies paths.
+determinants, the ``verify`` suite that walks and tallies paths, a ``seq``
+table and a ``paths --list`` walk.  The last two show that the CLI reaches
+the library through module names the tracer rewrites, not held references.
 """
 
 import json
@@ -26,6 +28,8 @@ requests = [
     ["hankel", "--family", "narayana-conv", "--k", "3", "--shift", "-1", "--sizes", "0..4"],
     ["verify", "--suite", "lemma"],
     ["verify", "--suite", "prop1"],
+    ["seq", "--family", "narayana-conv", "--k", "3", "--n-max", "5", "--format", "json"],
+    ["paths", "--list", "--length", "8", "--height", "0"],
 ]
 results = []
 for argv in requests:
@@ -47,12 +51,16 @@ def test_tracer_installs_and_sees_the_layers():
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    sweep, lemma, prop1, det = json.loads(proc.stdout)
+    sweep, lemma, prop1, seq, listing, det = json.loads(proc.stdout)
     assert sweep["code"] == 0
     assert {"cli.request", "hankel.build", "families.entry"} <= set(sweep["spans"])
     assert lemma["code"] == 0
     assert {"cli.request", "verify.lemma", "hankel.build", "hankel.det"} <= set(lemma["spans"])
     assert prop1["code"] == 0
     assert {"cli.request", "verify.prop1", "paths.dfs", "paths.table"} <= set(prop1["spans"])
+    assert seq["code"] == 0
+    assert {"cli.request", "families.entry"} <= set(seq["spans"])
+    assert listing["code"] == 0
+    assert {"cli.request", "paths.dfs"} <= set(listing["spans"])
     # the det note reads the matrix size
     assert det["hankel.det_calls"] > 0 and det["hankel.det_size_max"] > 0

@@ -5,12 +5,12 @@ stream; exits nonzero if any check fails.
 '''
 import sys
 
-from catalan_hankel import summarize
 from catalan_hankel.verify import SUITE_ORDER, run_suite
 
 grand_total = grand_failed = 0
 for name in SUITE_ORDER:
-    total, failed = summarize(run_suite(name))
+    reports = run_suite(name)
+    total, failed = len(reports), sum(not r.ok for r in reports)
     grand_total += total
     grand_failed += failed
     print(f"{name:12s} {total:4d} checks, {failed} failed")

@@ -38,7 +38,7 @@ from .hankel import (
     leading_minors,
 )
 from .paths import enumerate_paths, path_weight_sum, path_weight_sum_table
-from .report import CheckReport, summarize
+from .report import CheckReport
 from .verify import check_reciprocal_duality
 
 __version__ = "0.1.0"
@@ -73,5 +73,4 @@ __all__ = [
     "narayana_series_weighted",
     "path_weight_sum",
     "path_weight_sum_table",
-    "summarize",
 ]

@@ -1,10 +1,11 @@
 """Command line front end.
 
 Subcommands: ``seq`` prints family values, ``hankel`` prints Hankel
-determinants (or the matrix itself), ``verify`` streams NDJSON check
-reports, ``paths`` sums or enumerates weighted lattice paths.  Exit codes:
-0 ok, 1 verification failures, 2 usage or domain errors, 3 unexpected
-internal errors (reported as one ``error:`` line on stderr).
+determinants (or the matrix itself), ``verify`` prints NDJSON check
+reports one suite at a time, as each suite finishes, ``paths`` sums or
+enumerates weighted lattice paths.  Exit codes: 0 ok, 1 verification
+failures, 2 usage or domain errors, 3 unexpected internal errors (reported
+as one ``error:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .families import CATALAN_CONV, FAMILY_KINDS, NARAYANA_CONV, Family
 from .hankel import family_dets, hankel_matrix
 from .paths import enumerate_paths, path_weight_sum_table
 from .polyring import INTEGER_RING, UniPoly
-from .report import encode_value, summarize
+from .report import encode_value
 from .verify import DEFAULT_SEED, SUITE_ORDER, run_suite
 
 FORMATS = ("plain", "csv", "json")
@@ -136,10 +137,12 @@ def _cmd_hankel(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    reports = run_suite(args.suite, seed=args.seed)
-    for r in reports:
-        _print_json(r.to_json())
-    total, failed = summarize(reports)
+    total = failed = 0
+    for name in SUITE_ORDER if args.suite == "all" else (args.suite,):
+        for r in run_suite(name, seed=args.seed):
+            _print_json(r.to_json())
+            total += 1
+            failed += not r.ok
     print(
         f"{args.suite}: {total} checks, {total - failed} passed, {failed} failed",
         file=sys.stderr,

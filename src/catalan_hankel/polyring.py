@@ -41,7 +41,8 @@ class UniPoly:
     Coefficients are stored in ascending degree order with trailing zeros
     trimmed, so two UniPoly values are mathematically equal exactly when
     their coefficient tuples are equal.  The zero polynomial is the empty
-    tuple.  Instances are immutable and safe to cache.
+    tuple.  Instances are immutable but unhashable: a constant compares
+    equal to its int, and nothing keys a set or dict by a polynomial.
     """
 
     __slots__ = ("coeffs",)
@@ -79,13 +80,6 @@ class UniPoly:
         if o is None:
             return NotImplemented
         return self.coeffs == o.coeffs
-
-    def __hash__(self) -> int:
-        # Constants hash like the ints they equal, so int/UniPoly mixing in
-        # sets and dict keys stays consistent with __eq__.
-        if len(self.coeffs) <= 1:
-            return hash(self.coeffs[0] if self.coeffs else 0)
-        return hash(self.coeffs)
 
     def __neg__(self) -> "UniPoly":
         return UniPoly(tuple(-c for c in self.coeffs))

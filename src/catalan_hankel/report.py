@@ -8,7 +8,7 @@ exact sides, and a pass/fail status.  Serialization is NDJSON-friendly:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
 from .polyring import UniPoly
 from .series import Series
@@ -76,13 +76,3 @@ def equal_report(check: str, params: dict, lhs, rhs) -> CheckReport:
         lhs = Series.from_polynomial(lhs.ring, lhs.coeffs, n)
         rhs = Series.from_polynomial(rhs.ring, rhs.coeffs, n)
     return CheckReport(check=check, params=params, ok=bool(lhs == rhs), lhs=lhs, rhs=rhs)
-
-
-def summarize(reports: Iterable[CheckReport]) -> tuple[int, int]:
-    """(total, failed) over a report stream."""
-    total = failed = 0
-    for r in reports:
-        total += 1
-        if not r.ok:
-            failed += 1
-    return total, failed

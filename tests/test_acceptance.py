@@ -14,7 +14,6 @@ from catalan_hankel import (
     UniPoly,
     det_fraction_free,
     family_dets,
-    summarize,
 )
 from catalan_hankel.verify import run_suite
 
@@ -121,36 +120,34 @@ def test_03_unit_determinants():
 
 def test_04_integer_shift_theorems():
     reports = run_suite("thm1") + run_suite("thm2")
-    total, failed = summarize(reports)
-    _criterion(4, f"integer shift theorems ({total} checks)", failed == 0)
+    _criterion(4, f"integer shift theorems ({len(reports)} checks)", all(r.ok for r in reports))
 
 
 # 5 -------------------------------------------------------------------------
 
 def test_05_polynomial_shift_theorems():
     reports = run_suite("thm3") + run_suite("thm4")
-    total, failed = summarize(reports)
-    _criterion(5, f"polynomial shift theorems ({total} checks)", failed == 0)
+    _criterion(5, f"polynomial shift theorems ({len(reports)} checks)", all(r.ok for r in reports))
 
 
 # 6 -------------------------------------------------------------------------
 
 def test_06_support_patterns_and_closed_forms():
     reports = run_suite("corollaries")
-    total, failed = summarize(reports)
-    _criterion(6, f"support patterns and closed forms ({total} checks)", failed == 0)
+    _criterion(
+        6, f"support patterns and closed forms ({len(reports)} checks)", all(r.ok for r in reports)
+    )
 
 
 # 7 -------------------------------------------------------------------------
 
 def test_07_reciprocal_duality():
     reports = run_suite("lemma", seed=7)
-    total, failed = summarize(reports)
     randoms = sum(1 for r in reports if "index" in r.params)
     _criterion(
         7,
-        f"reciprocal duality ({randoms} random + {total - randoms} structured)",
-        failed == 0 and randoms == 50,
+        f"reciprocal duality ({randoms} random + {len(reports) - randoms} structured)",
+        all(r.ok for r in reports) and randoms == 50,
     )
 
 
@@ -158,20 +155,18 @@ def test_07_reciprocal_duality():
 
 def test_08_path_weight_identity():
     reports = run_suite("prop1")
-    total, failed = summarize(reports)
-    _criterion(8, f"weighted path identity ({total} checks)", failed == 0)
+    _criterion(8, f"weighted path identity ({len(reports)} checks)", all(r.ok for r in reports))
 
 
 # 9 -------------------------------------------------------------------------
 
 def test_09_series_identity_suite():
     reports = run_suite("identities")
-    total, failed = summarize(reports)
     table_checks = [r for r in reports if r.check == "identity/companion-t-table"]
     _criterion(
         9,
-        f"series identity suite ({total} checks)",
-        failed == 0 and len(table_checks) == 6,
+        f"series identity suite ({len(reports)} checks)",
+        all(r.ok for r in reports) and len(table_checks) == 6,
     )
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -7,6 +8,7 @@ import os
 import signal
 import subprocess
 import sys
+import weakref
 from math import comb
 from pathlib import Path
 
@@ -14,7 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catalan_hankel import ExactDivisionError, TruncationError, UniPoly, cli, families, hankel
+from catalan_hankel import (
+    ExactDivisionError, TruncationError, UniPoly, cli, families, hankel, verify,
+)
 from catalan_hankel.cli import main
 
 
@@ -570,6 +574,41 @@ def test_unexpected_error_exits_three(capsys, monkeypatch):
         code, out, err = run_cli(capsys, "verify", "--suite", "thm1")
         assert (code, out) == (3, ""), fault
         assert err == f"error: internal {fault.__name__}: boom\n"
+
+
+def test_verify_prints_each_suite_before_the_next_runs(capsys, monkeypatch):
+    # a crash in the last suite comes after the other seven suites' lines
+    # (1294 checks less prop1's 163) are out, and no summary follows them
+    def crash(seed):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(verify.SUITES, "prop1", crash)
+    code, out, err = run_cli(capsys, "verify")
+    assert code == 3
+    assert len(out.splitlines()) == 1131
+    assert err == "error: internal RuntimeError: boom\n"
+
+
+def test_verify_holds_one_suite_at_a_time(capsys, monkeypatch):
+    # by the time the last suite runs, no report of the first is alive
+    lemma, prop1 = verify.SUITES["lemma"], verify.SUITES["prop1"]
+    refs, alive = [], []
+
+    def tracked_lemma(seed):
+        reports = lemma(seed=seed)
+        refs.extend(weakref.ref(r) for r in reports)
+        return reports
+
+    def counting_prop1(seed):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in refs))
+        return prop1(seed=seed)
+
+    monkeypatch.setitem(verify.SUITES, "lemma", tracked_lemma)
+    monkeypatch.setitem(verify.SUITES, "prop1", counting_prop1)
+    code, _, _ = run_cli(capsys, "verify")
+    assert code == 0
+    assert refs and alive == [0]
 
 
 def test_large_power_sequence(capsys):

@@ -3,7 +3,7 @@
 import pytest
 
 import catalan_hankel
-from catalan_hankel import Series, hankel
+from catalan_hankel import Series, UniPoly, hankel
 
 
 def test_star_import_binds_every_name_in_all():
@@ -27,11 +27,13 @@ def test_per_kind_reads_are_gone(name):
             exec(f"from {module} import {name}", {})
 
 
-# Names whose callers now use str(p), catalan_conv(1, n) and narayana_conv(1, n).
+# Names whose callers now use str(p), catalan_conv(1, n), narayana_conv(1, n)
+# and len(reports) with all(r.ok for r in reports).
 REMOVED_ALIASES = [
     ("polyring", "render" + "_poly"),
     ("families", "cat" + "alan"),
     ("families", "nara" + "yana"),
+    ("report", "summ" + "arize"),
 ]
 
 
@@ -48,6 +50,12 @@ def test_series_has_no_truncation_method_or_own_hash():
     # __eq__ without __hash__: Python sets __hash__ to None, so series are
     # unhashable rather than hashed by the identity of their ring.
     assert Series.__hash__ is None
+
+
+def test_polynomials_are_unhashable():
+    # nothing keys a set or dict by a UniPoly, so it keeps Python's default
+    # for a class with __eq__: no hash
+    assert UniPoly.__hash__ is None
 
 
 def test_series_has_no_subtraction():

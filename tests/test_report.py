@@ -1,4 +1,4 @@
-from catalan_hankel import CheckReport, Series, INTEGER_RING, POLY_RING, UniPoly, summarize
+from catalan_hankel import CheckReport, Series, INTEGER_RING, POLY_RING, UniPoly
 from catalan_hankel.report import encode_value, equal_report, render_value
 
 
@@ -44,15 +44,6 @@ def test_render_value_forms():
     assert render_value([1, 2]) == "[1, 2]"
     s = Series(INTEGER_RING, [1, 2])
     assert render_value(s) == "[1, 2] + O(x^2)"
-
-
-def test_summarize():
-    reports = [
-        equal_report("a", {}, 1, 1),
-        equal_report("b", {}, 1, 2),
-        equal_report("c", {}, 3, 3),
-    ]
-    assert summarize(reports) == (3, 1)
 
 
 def test_str_contains_both_sides():

@@ -27,14 +27,15 @@ FORMATS = ("plain", "csv", "json")
 
 #: The largest accepted value of each size option, per family and for
 #: ``paths`` (the sum) and ``paths --list`` (the walk, exponential in the
-#: length), checked before any work starts.  The table bounds each option on
-#: its own and does not bound time: ``hankel --family narayana-conv --k 1
-#: --shift 500 --sizes 3`` has only --shift at its limit and runs for about
-#: half a minute (CPython 3.11, x86-64 server).  Negative shifts read only
-#: zero entries and need no limit.
+#: length), checked before any work starts; ``t_eval`` bounds |T| of
+#: ``--t-eval``, since printed values grow with the digits of T.  The table
+#: bounds each option on its own and does not bound time: ``hankel --family
+#: narayana-conv --k 1 --shift 500 --sizes 3`` has only --shift at its limit
+#: and runs for about half a minute (CPython 3.11, x86-64 server).  Negative
+#: shifts read only zero entries and need no limit.
 LIMITS = {
     CATALAN_CONV: {"k": 100_000, "n_max": 4000, "shift": 200_000, "sizes": 250},
-    NARAYANA_CONV: {"k": 100_000, "n_max": 500, "shift": 500, "sizes": 30},
+    NARAYANA_CONV: {"k": 100_000, "n_max": 500, "shift": 500, "sizes": 30, "t_eval": 2**64},
     "paths": {"length": 1000},
     "paths --list": {"length": 24},
 }
@@ -78,9 +79,15 @@ _plain_row = "{n}: {value}".format_map
 
 
 def _check_t_eval(family: Family, t_eval) -> None:
-    """Refuse --t-eval for an integer family before any entry is read."""
-    if t_eval is not None and family.ring is INTEGER_RING:
+    """Refuse --t-eval for an integer family, or with |T| over its limit,
+    before any entry is read.  The message names the limit, not T."""
+    if t_eval is None:
+        return
+    if family.ring is INTEGER_RING:
         raise ValueError("--t-eval only applies to polynomial-valued output")
+    limit = LIMITS[family.kind]["t_eval"]
+    if abs(t_eval) > limit:
+        raise ValueError(f"--t-eval |T| is over the {family.kind} limit {limit}")
 
 
 def _maybe_eval(value, t_eval):

@@ -2,8 +2,10 @@
 
 Every checker recomputes both sides of one identity instance through the
 exact engines (fraction-free determinants, truncated series, closed forms)
-and returns one :class:`CheckReport` per parameter tuple.  A suite is a flat
-list of reports in deterministic order; it passes iff every report passes.
+and returns one :class:`CheckReport` per parameter tuple.  The checkers and
+row builders take their bounds as required arguments; :data:`SUITES` names
+each suite and writes its acceptance bounds, once.  A suite is a flat list
+of reports in deterministic order; it passes iff every report passes.
 Randomized instances draw from a seeded generator so failures replay from
 the recorded parameters alone.
 """
@@ -75,7 +77,7 @@ def check_reciprocal_duality(
     return equal_report("duality", params, lhs, rhs)
 
 
-def random_duality_reports(count: int = 50, seed: int = DEFAULT_SEED) -> list[CheckReport]:
+def random_duality_reports(count: int, seed: int) -> list[CheckReport]:
     """Seeded random integer series, constant coefficient pinned to 1: shift
     0..3, size 1..5, coefficients in -9..9."""
     rng = random.Random(seed)
@@ -88,9 +90,7 @@ def random_duality_reports(count: int = 50, seed: int = DEFAULT_SEED) -> list[Ch
     return reports
 
 
-def structured_duality_reports(
-    power_max: int = 4, shift_max: int = 3, size_max: int = 5
-) -> list[CheckReport]:
+def structured_duality_reports(power_max: int, shift_max: int, size_max: int) -> list[CheckReport]:
     """Duality across powers of the Catalan series."""
     return [
         check_reciprocal_duality(
@@ -188,7 +188,7 @@ def check_corollaries(rows: Sequence[tuple]) -> list[CheckReport]:
     ]
 
 
-def unit_det_rows(size_max: int = 12) -> list[tuple]:
+def unit_det_rows(size_max: int) -> list[tuple]:
     """The three classical unit determinants: Catalan at shifts 0 and 1,
     and the second convolution power at shift 0, all identically 1."""
     return [
@@ -198,7 +198,7 @@ def unit_det_rows(size_max: int = 12) -> list[tuple]:
     ]
 
 
-def even_support_rows(k: int, size_max: int = 24) -> list[tuple]:
+def even_support_rows(k: int, size_max: int) -> list[tuple]:
     """Power 2k at back shift 1-k: (-1)^(n*binom(k,2)) at sizes kn, else 0."""
     sweep = (Family(CATALAN_CONV, 2 * k), 1 - k)
     return [
@@ -208,7 +208,7 @@ def even_support_rows(k: int, size_max: int = 24) -> list[tuple]:
     ]
 
 
-def odd_support_rows(k: int, size_max: int = 24) -> list[tuple]:
+def odd_support_rows(k: int, size_max: int) -> list[tuple]:
     """Power 2k+1 at shifts -k and 1-k: periodic support mod 2k+1.
 
     Shift -k is nonzero at remainders 0 and k+1; shift 1-k at remainders
@@ -228,7 +228,7 @@ def odd_support_rows(k: int, size_max: int = 24) -> list[tuple]:
     return rows
 
 
-def even_support_t_rows(k: int, mult_max: int = 3) -> list[tuple]:
+def even_support_t_rows(k: int, mult_max: int) -> list[tuple]:
     """Power 2k over Z[t] at back shift 1-k: the size-kn determinant is
     (-1)^(n*binom(k,2)) * t^(k^2*binom(n,2)); other sizes vanish."""
     sweep = (Family(NARAYANA_CONV, 2 * k), 1 - k)
@@ -245,7 +245,7 @@ def even_support_t_rows(k: int, mult_max: int = 3) -> list[tuple]:
     ]
 
 
-def narayana_unit_rows(size_max: int = 8) -> list[tuple]:
+def narayana_unit_rows(size_max: int) -> list[tuple]:
     """Narayana Hankel determinants at shifts 0 and 1 equal t^binom(n,2)."""
     return [
         ("narayana-hankel/power", {"shift": shift, "n": n},
@@ -255,7 +255,7 @@ def narayana_unit_rows(size_max: int = 8) -> list[tuple]:
     ]
 
 
-def quartic_rows(size_max: int = 8) -> list[tuple]:
+def quartic_rows(size_max: int) -> list[tuple]:
     """Fourth power over Z[t] at shift 0: alternating sign, a t-power, and
     an even geometric factor 1 + t^2 + ... + t^(2n)."""
     sweep = (Family(NARAYANA_CONV, 4), 0)
@@ -268,7 +268,7 @@ def quartic_rows(size_max: int = 8) -> list[tuple]:
     return rows
 
 
-def cubic_rows(size_max: int = 6) -> list[tuple]:
+def cubic_rows(size_max: int) -> list[tuple]:
     """Third power over Z[t] at shift 0: t^binom(N,2) times an alternating
     binomial tail in 1/t."""
     sweep = (Family(NARAYANA_CONV, 3), 0)
@@ -304,9 +304,7 @@ COMPANION_T_TABLE = {
 }
 
 
-def check_series_identities(
-    order: int = 12, k_max: int = 6, seed: int = DEFAULT_SEED
-) -> list[CheckReport]:
+def check_series_identities(order: int, k_max: int, seed: int) -> list[CheckReport]:
     """The generating-function identity suite at one truncation order.
 
     Covers: the Catalan quadratic fixed point and reciprocal complement;
@@ -406,7 +404,7 @@ def check_series_identities(
 # ---------------------------------------------------------------------------
 # Weighted path identity.
 
-def path_weight_reports(length_max: int = 15, height_max: int = 6) -> list[CheckReport]:
+def path_weight_reports(length_max: int, height_max: int) -> list[CheckReport]:
     """Prop 1 for every (k, n) within the length budget: the weight sum of
     paths to (2n + k - 1, k - 1) against the x^n coefficient of the k-th
     mixed convolution power.  Then enumeration-vs-closed-form agreement on
@@ -434,52 +432,34 @@ def path_weight_reports(length_max: int = 15, height_max: int = 6) -> list[Check
 
 
 # ---------------------------------------------------------------------------
-# Suites.  The default bounds here are the acceptance bounds.
+# Suites.  SUITES is the one place the acceptance bounds are written: each
+# entry is a callable of ``seed`` that calls the builders above with its
+# bounds.  Only lemma and identities draw random instances; the other
+# suites take ``seed`` and ignore it.
 
-def suite_lemma(seed: int = DEFAULT_SEED) -> list[CheckReport]:
-    return random_duality_reports(seed=seed) + structured_duality_reports()
-
-
-def _theorem_suite(name: str, ks: range, ms: range, n_max: int) -> Callable:
-    """The suite of one shift theorem over the grid ks x ms.  The theorems
-    have no random instances, so the suite takes ``seed`` and ignores it."""
-
-    def suite(seed: int = DEFAULT_SEED) -> list[CheckReport]:
-        reports = []
-        for k in ks:
-            for m in ms:
-                reports.extend(check_shift_theorem(name, k, m, n_max))
-        return reports
-
-    return suite
+def theorem_reports(name: str, ks: range, ms: range, n_max: int) -> list[CheckReport]:
+    """One shift theorem over the grid ks x ms, k-major."""
+    return [r for k in ks for m in ms for r in check_shift_theorem(name, k, m, n_max)]
 
 
-def suite_corollaries(seed: int = DEFAULT_SEED) -> list[CheckReport]:
-    rows = unit_det_rows(size_max=12)
-    rows += [row for k in range(1, 4) for row in even_support_rows(k, size_max=24)]
-    rows += [row for k in range(1, 3) for row in odd_support_rows(k, size_max=24)]
-    rows += [row for k in range(1, 4) for row in even_support_t_rows(k, mult_max=3)]
-    rows += narayana_unit_rows(size_max=8) + quartic_rows(size_max=8) + cubic_rows(size_max=6)
-    return check_corollaries(rows)
-
-
-def suite_identities(seed: int = DEFAULT_SEED) -> list[CheckReport]:
-    return check_series_identities(order=12, k_max=6, seed=seed)
-
-
-def suite_prop1(seed: int = DEFAULT_SEED) -> list[CheckReport]:
-    return path_weight_reports(length_max=15, height_max=6)
-
-
-SUITES: dict[str, Callable[..., list[CheckReport]]] = {
-    "lemma": suite_lemma,
-    "thm1": _theorem_suite("even-conv", range(1, 5), range(4), n_max=6),
-    "thm2": _theorem_suite("odd-conv", range(1, 5), range(4), n_max=6),
-    "thm3": _theorem_suite("even-conv-t", range(1, 4), range(3), n_max=4),
-    "thm4": _theorem_suite("odd-conv-t", range(1, 4), range(1, 3), n_max=4),
-    "corollaries": suite_corollaries,
-    "identities": suite_identities,
-    "prop1": suite_prop1,
+SUITES: dict[str, Callable[[int], list[CheckReport]]] = {
+    "lemma": lambda seed: (
+        random_duality_reports(count=50, seed=seed)
+        + structured_duality_reports(power_max=4, shift_max=3, size_max=5)
+    ),
+    "thm1": lambda seed: theorem_reports("even-conv", range(1, 5), range(4), n_max=6),
+    "thm2": lambda seed: theorem_reports("odd-conv", range(1, 5), range(4), n_max=6),
+    "thm3": lambda seed: theorem_reports("even-conv-t", range(1, 4), range(3), n_max=4),
+    "thm4": lambda seed: theorem_reports("odd-conv-t", range(1, 4), range(1, 3), n_max=4),
+    "corollaries": lambda seed: check_corollaries(
+        unit_det_rows(size_max=12)
+        + [row for k in range(1, 4) for row in even_support_rows(k, size_max=24)]
+        + [row for k in range(1, 3) for row in odd_support_rows(k, size_max=24)]
+        + [row for k in range(1, 4) for row in even_support_t_rows(k, mult_max=3)]
+        + narayana_unit_rows(size_max=8) + quartic_rows(size_max=8) + cubic_rows(size_max=6)
+    ),
+    "identities": lambda seed: check_series_identities(order=12, k_max=6, seed=seed),
+    "prop1": lambda seed: path_weight_reports(length_max=15, height_max=6),
 }
 
 SUITE_ORDER = tuple(SUITES)
@@ -492,4 +472,4 @@ def run_suite(name: str, seed: int = DEFAULT_SEED) -> list[CheckReport]:
         fn = SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_ORDER)}") from None
-    return fn(seed=seed)
+    return fn(seed)

@@ -324,6 +324,11 @@ def test_hankel_prints_values_past_the_int_str_limit(capsys, fmt):
         ("paths", "--length", "25", "--height", "1", "--list"),
         # a range this long is never built: only its top is read
         ("hankel", "--sizes", "0..100000000"),
+        pytest.param(
+            ("seq", "--family", "narayana-conv", "--n-max", "500", "--t-eval", "9" * 4000),
+            id="t-eval-4000-digits",
+        ),
+        ("hankel", "--family", "narayana-conv", "--sizes", "30", "--t-eval", str(-2**64 - 1)),
     ],
 )
 def test_limits_exit_two_before_any_work(capsys, monkeypatch, argv):
@@ -342,6 +347,12 @@ def test_limits_exit_two_before_any_work(capsys, monkeypatch, argv):
 def test_limit_message_and_requests_at_the_limits(capsys):
     code, _, err = run_cli(capsys, "seq", "--family", "narayana-conv", "--n-max", "501")
     assert (code, err) == (2, "error: --n-max 501 is over the narayana-conv limit 500\n")
+    # the --t-eval message names the limit, not T's digits
+    code, _, err = run_cli(capsys, "seq", "--family", "narayana-conv", "--n-max", "0",
+                           "--t-eval", str(2**64 + 1))
+    assert (code, err) == (
+        2, f"error: --t-eval |T| is over the narayana-conv limit {2**64}\n"
+    )
     for argv in (
         ("seq", "--family", "narayana-conv", "--k", "100000", "--n-max", "0"),
         ("hankel", "--shift", "200000", "--sizes", "0"),
@@ -349,6 +360,11 @@ def test_limit_message_and_requests_at_the_limits(capsys):
     ):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and out, argv
+    for t in (2**64, -2**64):
+        code, out, _ = run_cli(
+            capsys, "seq", "--family", "narayana-conv", "--n-max", "2", "--t-eval", str(t),
+        )
+        assert (code, out.splitlines()) == (0, ["0: 1", "1: 1", f"2: {1 + t}"])
     code, out, _ = run_cli(
         capsys, "paths", "--length", "1000", "--height", "0", "--format", "json"
     )

@@ -45,6 +45,18 @@ def test_aliases_are_gone(module, name):
             exec(f"from {source} import {name}", {})
 
 
+# Suite wrappers whose bounds now live in the entries of verify.SUITES.
+REMOVED_SUITE_WRAPPERS = [
+    f"suite_{name}" for name in ("lemma", "corollaries", "identities", "prop1")
+]
+
+
+@pytest.mark.parametrize("name", REMOVED_SUITE_WRAPPERS)
+def test_suite_wrappers_are_gone(name):
+    with pytest.raises(ImportError):
+        exec(f"from catalan_hankel.verify import {name}", {})
+
+
 def test_series_has_no_truncation_method_or_own_hash():
     assert not hasattr(Series, "trun" + "cated")
     # __eq__ without __hash__: Python sets __hash__ to None, so series are

@@ -113,7 +113,7 @@ def test_closed_paths_give_narayana():
 
 
 def test_weight_identity_reports():
-    reports = path_weight_reports()
+    reports = path_weight_reports(15, 6)
     assert all(r.ok for r in reports), [str(r) for r in reports if not r.ok]
     identities = {
         (r.params["k"], r.params["n"]): r
@@ -144,7 +144,7 @@ def test_weight_reports_walk_each_path_set_once(monkeypatch):
     for module in (paths, verify):
         monkeypatch.setattr(module, "path_weight_sum", counting_sum)
     monkeypatch.setattr(verify, "mixed_powers", counting_powers)
-    reports = path_weight_reports()
+    reports = path_weight_reports(15, 6)
     # 72 identities and 91 table cells read 116 distinct (length, height)
     assert len(reports) == 72 + 91
     assert len(walks) == len(set(walks)) == 116

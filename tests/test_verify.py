@@ -1,8 +1,11 @@
+import inspect
+
 import pytest
 
 from catalan_hankel import UniPoly, families, hankel
 from catalan_hankel.verify import (
     COMPANION_T_TABLE,
+    DEFAULT_SEED,
     check_corollaries,
     check_reciprocal_duality,
     check_series_identities,
@@ -17,7 +20,6 @@ from catalan_hankel.verify import (
     random_duality_reports,
     run_suite,
     structured_duality_reports,
-    suite_corollaries,
     unit_det_rows,
 )
 
@@ -167,7 +169,7 @@ def test_theorems_at_larger_bounds():
 def test_corollary_power_grids_need_k_at_least_one(rows, k):
     # power 2k + 1 is a valid family at k = 0, so that grid checks k itself
     with pytest.raises(ValueError):
-        rows(k)
+        rows(k, 3)
 
 
 def test_corollaries_eliminate_each_sweep_once(monkeypatch):
@@ -179,7 +181,7 @@ def test_corollaries_eliminate_each_sweep_once(monkeypatch):
         return real(m)
 
     monkeypatch.setattr(hankel, "leading_minors", counting)
-    reports = suite_corollaries()
+    reports = run_suite("corollaries")
     assert_all_pass(reports)
     # 17 sweep calls before the rows, but the unit determinant of power 2 at
     # shift 0 and the even support at k = 1 are one sweep
@@ -190,10 +192,10 @@ def test_corollaries_eliminate_each_sweep_once(monkeypatch):
 
 
 def test_series_identities_pass():
-    reports = check_series_identities(order=10, k_max=5)
+    reports = check_series_identities(order=10, k_max=5, seed=DEFAULT_SEED)
     assert_all_pass(reports)
     with pytest.raises(ValueError):
-        check_series_identities(order=2)
+        check_series_identities(order=2, k_max=6, seed=DEFAULT_SEED)
 
 
 def test_companion_table_is_exact():
@@ -202,6 +204,24 @@ def test_companion_table_is_exact():
 
 def test_path_weight_suite():
     assert_all_pass(path_weight_reports(length_max=11, height_max=4))
+
+
+BUILDERS = [
+    random_duality_reports, structured_duality_reports, unit_det_rows,
+    even_support_rows, odd_support_rows, even_support_t_rows, narayana_unit_rows,
+    quartic_rows, cubic_rows, check_series_identities, path_weight_reports,
+]
+
+
+def test_builders_take_every_bound_explicitly():
+    # the acceptance bounds are written once, in the entries of SUITES
+    defaulted = [
+        f"{builder.__name__}({p.name})"
+        for builder in BUILDERS
+        for p in inspect.signature(builder).parameters.values()
+        if p.default is not p.empty
+    ]
+    assert defaulted == []
 
 
 def test_run_suite_names():

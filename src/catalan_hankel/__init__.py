@@ -30,13 +30,7 @@ from .families import (
     narayana_series,
     narayana_series_weighted,
 )
-from .hankel import (
-    HankelMatrix,
-    det_fraction_free,
-    family_dets,
-    hankel_matrix,
-    leading_minors,
-)
+from .hankel import family_dets, leading_minors
 from .paths import enumerate_paths, path_weight_sum, path_weight_sum_table
 from .report import CheckReport
 from .verify import check_reciprocal_duality
@@ -47,7 +41,6 @@ __all__ = [
     "CheckReport",
     "ExactDivisionError",
     "Family",
-    "HankelMatrix",
     "INTEGER_RING",
     "POLY_RING",
     "Series",
@@ -60,11 +53,9 @@ __all__ = [
     "check_reciprocal_duality",
     "companion_poly",
     "companion_poly_t",
-    "det_fraction_free",
     "enumerate_paths",
     "exact_div",
     "family_dets",
-    "hankel_matrix",
     "leading_minors",
     "lucas",
     "mixed_powers",

@@ -133,7 +133,8 @@ def _cmd_hankel(args) -> int:
     _check_t_eval(family, args.t_eval)
     if args.matrix:
         m = hankel_matrix(family.ring, family.value, args.shift, sizes[0])
-        rows = [[_maybe_eval(v, args.t_eval) for v in row] for row in m.rows]
+        seq = [_maybe_eval(v, args.t_eval) for v in m.seq]
+        rows = [seq[i : i + m.n] for i in range(m.n)]
         _print_json({"n": m.n, "rows": encode_value(rows)})
         return 0
     # The sizes are one contiguous range, read from one sweep of the largest.

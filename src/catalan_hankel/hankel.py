@@ -7,12 +7,17 @@ is one fraction-free subresultant chain on that pair: every division in it
 is exact in the coefficient ring, so the algorithm is identical over Z and
 Z[t], and it yields the determinants of every size of a sweep in O(N^2)
 ring operations.  Zero minors show up as degree gaps of the chain.
+
+The chain's one entry is ``leading_minors(ring, seq)``, which checks and
+coerces the sequence.  ``HankelMatrix``, ``hankel_matrix`` and
+``det_fraction_free`` stay only because ``perfbench/tracer.py`` times them
+by name; the package root does not export them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .polyring import Scalar, _Ring, exact_div
 from .families import Family
@@ -22,27 +27,15 @@ from .families import Family
 class HankelMatrix:
     """An N x N Hankel matrix over a coefficient ring, stored as its
     defining sequence a(0..2N-2): entry (i, j) is seq[i + j].  The empty
-    matrix has the empty sequence.  Each value is coerced into the ring,
-    so an int becomes a constant of Z[t], and a UniPoly over Z raises
-    TypeError."""
+    matrix has the empty sequence.  The values are neither checked nor
+    coerced here; :func:`leading_minors` does both."""
 
     ring: _Ring
     seq: tuple[Scalar, ...]
 
-    def __post_init__(self):
-        if len(self.seq) % 2 == 0 and self.seq:
-            raise ValueError(f"a Hankel sequence has odd length 2N - 1, not {len(self.seq)}")
-        object.__setattr__(self, "seq", tuple(map(self.ring.coerce, self.seq)))
-
     @property
     def n(self) -> int:
         return (len(self.seq) + 1) // 2
-
-    @property
-    def rows(self) -> tuple[tuple[Scalar, ...], ...]:
-        """The N rows; row i is the window of N values from seq[i]."""
-        n = self.n
-        return tuple(self.seq[i : i + n] for i in range(n))
 
 
 def hankel_matrix(
@@ -77,10 +70,13 @@ def _pseudo_remainder(a: list, deg_a: int, b: list, deg_b: int, floor: int) -> l
     return r
 
 
-def leading_minors(m: HankelMatrix) -> list[Scalar]:
-    """Every leading principal minor [D(0), ..., D(N)] of a Hankel matrix.
+def leading_minors(ring: _Ring, seq: Sequence[Scalar]) -> list[Scalar]:
+    """Every leading principal minor [D(0), ..., D(N)] of the N x N Hankel
+    matrix over ``ring`` whose defining sequence a(0..2N-2) is ``seq``.
 
-    With a(0..2N-2) the defining sequence, M = 2N - 1, F = x^M and
+    An even, non-zero length raises ValueError.  Each value is coerced into
+    the ring, so an int becomes a constant of Z[t], and a UniPoly over Z
+    raises TypeError.  With M = 2N - 1, F = x^M and
     G = sum a(i) x^(M-1-i), D(n) = (-1)^(n(n-1)/2) sres_(M-n)(F, G) for
     1 <= n <= N, where sres_j is the j-th principal subresultant
     coefficient; D(0) is the ring's one.
@@ -99,12 +95,14 @@ def leading_minors(m: HankelMatrix) -> list[Scalar]:
     then costs O(N^2) ring operations.  Each D(n) equals, in value and
     type, the determinant of the leading n x n block.
     """
-    size = m.n
-    b = list(m.seq)
-    one = m.ring.one
-    minors: list[Scalar] = [one] + [m.ring.zero] * size
+    if len(seq) % 2 == 0 and seq:
+        raise ValueError(f"a Hankel sequence has odd length 2N - 1, not {len(seq)}")
+    b = [ring.coerce(v) for v in seq]
+    size = (len(b) + 1) // 2
+    one = ring.one
+    minors: list[Scalar] = [one] + [ring.zero] * size
     top = 2 * size - 1
-    a, deg_a = [one] + [m.ring.zero] * top, top
+    a, deg_a = [one] + [ring.zero] * top, top
     g = h = one
     j = top - 1  # formal subresultant index of b
     while True:
@@ -138,7 +136,7 @@ def det_fraction_free(m: HankelMatrix) -> Scalar:
     The empty matrix has determinant the ring's one; a singular matrix
     gives the ring's zero.
     """
-    return leading_minors(m)[-1]
+    return leading_minors(m.ring, m.seq)[-1]
 
 
 def family_dets(family: Family, shift: int, top: int) -> list[Scalar]:
@@ -149,5 +147,6 @@ def family_dets(family: Family, shift: int, top: int) -> list[Scalar]:
 
     Entry (i, j) is family.value(i + j + shift); negative indices give zero.
     """
-    return leading_minors(hankel_matrix(family.ring, family.value, shift, top))
+    m = hankel_matrix(family.ring, family.value, shift, top)
+    return leading_minors(m.ring, m.seq)
 

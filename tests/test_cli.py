@@ -277,7 +277,7 @@ def test_hankel_range_is_tail_of_full_sweep(capsys, fmt):
 
 
 def test_hankel_t_eval_rejected_before_elimination(capsys, monkeypatch):
-    def never(m):
+    def never(ring, seq):
         raise AssertionError("swept a matrix for a refused request")
 
     monkeypatch.setattr(hankel, "leading_minors", never)
@@ -342,6 +342,69 @@ def test_limits_exit_two_before_any_work(capsys, monkeypatch, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: --") and " is over the " in err
+
+
+@st.composite
+def bounded_requests(draw):
+    """(argv, past): a seq, hankel or paths request whose size options are
+    each small or just past their ``cli.LIMITS`` bound, and whether any
+    option is past it.  In-bound values stay small: near a limit a request
+    can run for many seconds (``--shift 500`` alone takes about 20 s)."""
+    command = draw(st.sampled_from(["seq", "hankel", "paths", "paths --list"]))
+    past = False
+
+    def option(group, name, small):
+        nonlocal past
+        if draw(st.integers(0, 5)) == 0:
+            past = True
+            return cli.LIMITS[group][name] + 1
+        return draw(small)
+
+    if command.startswith("paths"):
+        length = option(command, "length", st.integers(-1, 8))
+        argv = command.split() + ["--length", str(length)]
+        argv += ["--height", str(draw(st.integers(-1, 4)))]
+        return argv + ["--format", draw(st.sampled_from(["plain", "json"]))], past
+    family = draw(st.sampled_from(["catalan-conv", "narayana-conv"]))
+    argv = [command, "--family", family, "--k", str(option(family, "k", st.integers(0, 3)))]
+    argv += ["--format", draw(st.sampled_from(cli.FORMATS))]
+    t = draw(st.sampled_from([None] * 5 + ["small"] * 3 + [str(2**64 + 1), "9" * 5000]))
+    if t == "small":
+        argv += ["--t-eval", str(draw(st.integers(-2, 2)))]
+    elif t is not None:
+        past = True
+        argv += ["--t-eval", draw(st.sampled_from(["", "-"])) + t]
+    if command == "seq":
+        return argv + ["--n-max", str(option(family, "n_max", st.integers(-1, 5)))], past
+    argv += ["--shift", str(option(family, "shift", st.integers(-3, 3)))]
+    lo = draw(st.integers(-1, 3))
+    top = option(family, "sizes", st.integers(lo, 4))
+    argv += ["--sizes", f"{lo}..{top}" if draw(st.booleans()) else str(top)]
+    if draw(st.booleans()):
+        argv.append("--matrix")
+    return argv, past
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(bounded_requests())
+def test_exit_codes_are_never_internal(drawn):
+    argv, past = drawn
+
+    def no_work(*args):
+        raise AssertionError("started work on a request over a limit")
+
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        if past:
+            for name in ("catalan_conv", "narayana_conv"):
+                mp.setattr(families, name, no_work)
+            mp.setattr(cli, "path_weight_sum_table", no_work)
+            mp.setattr(cli, "enumerate_paths", no_work)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    if past:
+        assert (code, out.getvalue()) == (2, ""), (argv, err.getvalue())
 
 
 def test_limit_message_and_requests_at_the_limits(capsys):

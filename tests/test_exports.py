@@ -27,6 +27,26 @@ def test_per_kind_reads_are_gone(name):
             exec(f"from {module} import {name}", {})
 
 
+# The Hankel chain's entry points that leading_minors(ring, seq) replaced at
+# the root; the benchmark tracer still times them in catalan_hankel.hankel.
+ROOT_HANKEL_NAMES = ["HankelMatrix", "hankel_matrix", "det_fraction_free"]
+
+
+@pytest.mark.parametrize("name", ROOT_HANKEL_NAMES)
+def test_root_hankel_names_are_gone(name):
+    assert name not in catalan_hankel.__all__
+    assert not hasattr(catalan_hankel, name)
+    with pytest.raises(ImportError):
+        exec(f"from catalan_hankel import {name}", {})
+    assert hasattr(hankel, name)
+
+
+def test_root_exports_the_chain_entry():
+    for name in ("leading_minors", "family_dets"):
+        assert name in catalan_hankel.__all__
+        assert getattr(catalan_hankel, name) is getattr(hankel, name)
+
+
 # Names whose callers now use str(p), catalan_conv(1, n), narayana_conv(1, n)
 # and len(reports) with all(r.ok for r in reports).
 REMOVED_ALIASES = [

@@ -36,8 +36,8 @@ series more than once build it once and hold it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .polyring import INTEGER_RING, POLY_RING, T, UniPoly, _Ring, binomial
 from .series import Series
@@ -157,18 +157,18 @@ NARAYANA_CONV = "narayana-conv"
 FAMILY_KINDS = (CATALAN_CONV, NARAYANA_CONV)
 
 
-@dataclass(frozen=True)
-class Family:
-    """A convolution-power family selected by kind and power k."""
+class Family(NamedTuple("Family", [("kind", str), ("k", int)])):
+    """A convolution-power family: the immutable, hashable pair (kind, k),
+    checked in a ``__new__`` that a NamedTuple class body may not define."""
 
-    kind: str
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.k < 1:
-            raise ValueError(f"convolution power k={self.k} must be >= 1")
+    def __new__(cls, kind: str, k: int):
+        if kind not in FAMILY_KINDS:
+            raise ValueError(f"unknown family kind {kind!r}")
+        if k < 1:
+            raise ValueError(f"convolution power k={k} must be >= 1")
+        return super().__new__(cls, kind, k)
 
     @property
     def ring(self) -> _Ring:

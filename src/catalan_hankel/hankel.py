@@ -16,19 +16,17 @@ by name; the package root does not export them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .polyring import Scalar, _Ring, exact_div
 from .families import Family
 
 
-@dataclass(frozen=True)
-class HankelMatrix:
-    """An N x N Hankel matrix over a coefficient ring, stored as its
-    defining sequence a(0..2N-2): entry (i, j) is seq[i + j].  The empty
-    matrix has the empty sequence.  The values are neither checked nor
-    coerced here; :func:`leading_minors` does both."""
+class HankelMatrix(NamedTuple):
+    """The N x N Hankel matrix over ``ring`` with entry (i, j) = seq[i + j],
+    as an immutable (ring, seq) tuple; the empty matrix has the empty
+    sequence.  The values are neither checked nor coerced here;
+    :func:`leading_minors` does both."""
 
     ring: _Ring
     seq: tuple[Scalar, ...]

@@ -11,9 +11,8 @@ remainder survives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 Scalar = Union[int, "UniPoly"]
 
@@ -190,9 +189,8 @@ class UniPoly:
 T = UniPoly((0, 1))
 
 
-@dataclass(frozen=True)
-class _Ring:
-    """Coefficient ring descriptor: zero, one, and scalar coercion."""
+class _Ring(NamedTuple):
+    """Coefficient ring descriptor (name, zero, one), with scalar coercion."""
 
     name: str
     zero: Scalar
@@ -212,13 +210,12 @@ POLY_RING = _Ring("ZZ[t]", UniPoly(), UniPoly((1,)))
 
 
 def exact_div(a: Scalar, b: Scalar) -> Scalar:
-    """Exact division in whichever ring the operands live in.
-
-    Mixed int/UniPoly operands are promoted to Z[t].  Raises
-    ExactDivisionError when the quotient would not be exact.
+    """Exact division in the dividend's ring; an int is not divided by a
+    UniPoly (TypeError).  Raises ExactDivisionError when the quotient would
+    not be exact.
     """
-    if isinstance(a, UniPoly) or isinstance(b, UniPoly):
-        return UniPoly._coerce(a).exact_div(b)
+    if isinstance(a, UniPoly):
+        return a.exact_div(b)
     if b == 0:
         raise ZeroDivisionError("exact division by zero")
     q, r = divmod(a, b)

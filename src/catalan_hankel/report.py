@@ -1,13 +1,12 @@
 """Check reports: one record per verified parameter tuple.
 
-A report carries the check id, the parameters that reproduce the case, both
-exact sides, and a pass/fail status.  Serialization is NDJSON-friendly:
-``to_json`` yields one flat dict per report.
+A report is built from the check id, the parameters that reproduce the case
+and both exact sides, and decides its own pass/fail status by ``==``.
+Serialization is NDJSON-friendly: ``to_json`` yields one flat dict per report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from .polyring import UniPoly
@@ -36,13 +35,21 @@ def render_value(v: Any) -> str:
     return str(v)
 
 
-@dataclass(frozen=True, eq=False)
 class CheckReport:
-    check: str
-    params: dict[str, Any]
-    ok: bool
-    lhs: Any
-    rhs: Any
+    """One check of two exact values; ``ok`` is whether they are equal.
+
+    Two series are compared, and reported, at the smaller of their orders:
+    only those coefficients are known on both sides.  Reports compare by
+    identity, and nothing changes one after it is built.
+    """
+
+    def __init__(self, check: str, params: dict[str, Any], lhs: Any, rhs: Any):
+        if isinstance(lhs, Series) and isinstance(rhs, Series):
+            n = min(lhs.order, rhs.order)
+            lhs = Series.from_polynomial(lhs.ring, lhs.coeffs, n)
+            rhs = Series.from_polynomial(rhs.ring, rhs.coeffs, n)
+        self.check, self.params, self.lhs, self.rhs = check, params, lhs, rhs
+        self.ok = bool(lhs == rhs)
 
     @property
     def status(self) -> str:
@@ -64,15 +71,3 @@ class CheckReport:
             f"{render_value(self.lhs)} vs {render_value(self.rhs)}"
         )
 
-
-def equal_report(check: str, params: dict, lhs, rhs) -> CheckReport:
-    """Report comparing two exact values; equality decided by ==.
-
-    Two series are compared, and reported, at the smaller of their orders:
-    only those coefficients are known on both sides.
-    """
-    if isinstance(lhs, Series) and isinstance(rhs, Series):
-        n = min(lhs.order, rhs.order)
-        lhs = Series.from_polynomial(lhs.ring, lhs.coeffs, n)
-        rhs = Series.from_polynomial(rhs.ring, rhs.coeffs, n)
-    return CheckReport(check=check, params=params, ok=bool(lhs == rhs), lhs=lhs, rhs=rhs)

@@ -34,7 +34,7 @@ from .families import (
 )
 from .hankel import det_fraction_free, family_dets, hankel_matrix
 from .paths import path_weight_sum, path_weight_sum_table
-from .report import CheckReport, equal_report
+from .report import CheckReport
 
 DEFAULT_SEED = 7
 
@@ -74,7 +74,7 @@ def check_reciprocal_duality(
     params = {"shift": shift, "size": size, "s": list(coeffs)}
     if extra:
         params = {**extra, **params}
-    return equal_report("duality", params, lhs, rhs)
+    return CheckReport("duality", params, lhs, rhs)
 
 
 def random_duality_reports(count: int, seed: int) -> list[CheckReport]:
@@ -155,14 +155,14 @@ def check_shift_theorem(name: str, k: int, m: int, n_max: int) -> list[CheckRepo
         # All-zero first row is strictly stronger than a vanishing
         # determinant, so both are asserted separately.
         reports += [
-            equal_report(name + "/zero-row", params, first_row[:N], [zero] * N),
-            equal_report(name + "/vanishing", params, back_dets[N], zero),
+            CheckReport(name + "/zero-row", params, first_row[:N], [zero] * N),
+            CheckReport(name + "/vanishing", params, back_dets[N], zero),
         ]
     fwd_dets = family_dets(family, 1 - k + m, max(n_max, 0))
     for n in range(n_max + 1):
         factor = UniPoly.monomial(k * n, sign) if polynomial else sign
         lhs, rhs = back_dets[n + offset], factor * fwd_dets[n]
-        reports.append(equal_report(name + "/shift", {"k": k, "m": m, "n": n}, lhs, rhs))
+        reports.append(CheckReport(name + "/shift", {"k": k, "m": m, "n": n}, lhs, rhs))
     return reports
 
 
@@ -183,7 +183,7 @@ def check_corollaries(rows: Sequence[tuple]) -> list[CheckReport]:
         tops[sweep] = max(N, tops.get(sweep, N))
     dets = {sweep: family_dets(*sweep, top) for sweep, top in tops.items()}
     return [
-        equal_report(check, params, dets[sweep][N], expected)
+        CheckReport(check, params, dets[sweep][N], expected)
         for check, params, sweep, N, expected in rows
     ]
 
@@ -398,7 +398,7 @@ def check_series_identities(order: int, k_max: int, seed: int) -> list[CheckRepo
         ("identity/companion-t-table", {"k": k}, list(companion_poly_t(k).coeffs), list(expected))
         for k, expected in COMPANION_T_TABLE.items()
     ]
-    return [equal_report(*row) for row in rows]
+    return [CheckReport(*row) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -417,12 +417,12 @@ def path_weight_reports(length_max: int, height_max: int) -> list[CheckReport]:
         top = (length_max + 1 - k) // 2  # the largest n with 2n + k - 1 <= length_max
         for n in range(top + 1):
             length = 2 * n + k - 1
-            reports.append(equal_report(
+            reports.append(CheckReport(
                 "paths/weight-identity", {"k": k, "n": n, "length": length},
                 walk(length, k - 1), mixed[k].coefficient(n),
             ))
     return reports + [
-        equal_report(
+        CheckReport(
             "paths/table-agreement", {"length": length, "height": height},
             walk(length, height), path_weight_sum_table(length, height),
         )

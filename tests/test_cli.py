@@ -724,6 +724,21 @@ def test_verify_default_stream_digest(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_cli_import_loads_no_dataclasses():
+    # every request starts a fresh process, so what the import pulls in is
+    # paid per request; -S keeps site's .pth files from importing their own
+    src = Path(cli.__file__).resolve().parent.parent
+    probe = (
+        "import sys, catalan_hankel.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

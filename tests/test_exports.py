@@ -47,13 +47,15 @@ def test_root_exports_the_chain_entry():
         assert getattr(catalan_hankel, name) is getattr(hankel, name)
 
 
-# Names whose callers now use str(p), catalan_conv(1, n), narayana_conv(1, n)
-# and len(reports) with all(r.ok for r in reports).
+# Names whose callers now use str(p), catalan_conv(1, n), narayana_conv(1, n),
+# len(reports) with all(r.ok for r in reports), and CheckReport(check,
+# params, lhs, rhs).
 REMOVED_ALIASES = [
     ("polyring", "render" + "_poly"),
     ("families", "cat" + "alan"),
     ("families", "nara" + "yana"),
     ("report", "summ" + "arize"),
+    ("report", "equal" + "_report"),
 ]
 
 

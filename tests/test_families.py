@@ -199,3 +199,9 @@ def test_family_descriptor():
         Family("poisson", 1)
     with pytest.raises(ValueError):
         Family("catalan-conv", 0)
+    # an immutable (kind, k) tuple; check_corollaries keys its sweeps by it
+    assert g == ("narayana-conv", 2) and hash(g) == hash(("narayana-conv", 2))
+    assert {g: 1}[Family(kind="narayana-conv", k=2)] == 1
+    for field in ("kind", "k", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(g, field, 3)

@@ -64,6 +64,10 @@ def test_hankel_matrix_is_its_sequence():
     # sliced by whoever prints them.
     assert not hasattr(m, "rows")
     assert "__post_init__" not in vars(HankelMatrix)
+    assert m == (INTEGER_RING, (1, 2, 3))
+    for field in ("ring", "seq"):
+        with pytest.raises(AttributeError):
+            setattr(m, field, ())
 
 
 def test_matrix_json_with_polynomials():

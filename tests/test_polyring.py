@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catalan_hankel import ExactDivisionError, T, UniPoly, binomial, exact_div
+from catalan_hankel import ExactDivisionError, INTEGER_RING, T, UniPoly, binomial, exact_div
 
 from oracles import dadd, dmul, dpoly, dpoly_to_tuple, pascal_binomial
 
@@ -57,6 +57,7 @@ def test_exact_div_examples():
     num = (1 + T) * (1 + T) * (1 - T)
     assert num.exact_div(1 + T) == (1 + T) * (1 - T)
     assert exact_div(UniPoly((0, 0, 2)), UniPoly((0, 2))) == T
+    assert exact_div(UniPoly((4, 2)), 2) == 2 + T
 
 
 @PROPERTY
@@ -90,6 +91,9 @@ def test_exact_div_failures():
         exact_div(7, 2)
     with pytest.raises(ZeroDivisionError):
         exact_div(7, 0)
+    # the dividend picks the ring: an int is not promoted to Z[t] here
+    with pytest.raises(TypeError):
+        exact_div(6, UniPoly((2,)))
     assert exact_div(-6, 3) == -2
 
 
@@ -124,3 +128,9 @@ def test_immutability():
     p = UniPoly((1, 2))
     with pytest.raises(AttributeError):
         p.coeffs = (3,)
+
+    # the ring descriptors are plain tuples (name, zero, one)
+    assert INTEGER_RING == ("ZZ", 0, 1) and tuple(INTEGER_RING) == ("ZZ", 0, 1)
+    for field in ("name", "zero", "one"):
+        with pytest.raises(AttributeError):
+            setattr(INTEGER_RING, field, 2)

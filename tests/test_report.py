@@ -1,23 +1,35 @@
+import pytest
+
 from catalan_hankel import CheckReport, Series, INTEGER_RING, POLY_RING, UniPoly
-from catalan_hankel.report import encode_value, equal_report, render_value
+from catalan_hankel.report import encode_value, render_value
 
 
-def test_equal_report_decides():
-    good = equal_report("demo", {"n": 1}, 5, 5)
-    bad = equal_report("demo", {"n": 2}, 5, -5)
+def test_report_decides():
+    good = CheckReport("demo", {"n": 1}, 5, 5)
+    bad = CheckReport("demo", {"n": 2}, 5, -5)
     assert good.ok and good.status == "pass"
     assert not bad.ok and bad.status == "fail"
 
 
-def test_equal_report_compares_series_at_the_smaller_order():
+def test_report_verdict_is_not_an_argument():
+    with pytest.raises(TypeError):
+        CheckReport("c", {}, 5, -5, ok=True)
+    with pytest.raises(TypeError):
+        CheckReport(check="c", params={}, ok=True, lhs=5, rhs=-5)
+    # reports compare by identity, as two separate checks of equal values
+    assert CheckReport("c", {}, 5, 5) != CheckReport("c", {}, 5, 5)
+
+
+def test_report_compares_series_at_the_smaller_order():
     long, short = Series(INTEGER_RING, [1, 2, 3, 4]), Series(INTEGER_RING, [1, 2])
-    r = equal_report("demo", {}, long, short)
+    r = CheckReport("demo", {}, long, short)
     assert r.ok and r.lhs == r.rhs == short
-    assert not equal_report("demo", {}, long, Series(INTEGER_RING, [1, 3])).ok
+    assert r.lhs.order == r.rhs.order == 2
+    assert not CheckReport("demo", {}, long, Series(INTEGER_RING, [1, 3])).ok
 
 
 def test_report_json_shape():
-    r = equal_report("demo", {"k": 2}, UniPoly((1, -1)), UniPoly((1, -1)))
+    r = CheckReport("demo", {"k": 2}, UniPoly((1, -1)), UniPoly((1, -1)))
     assert r.to_json() == {
         "check": "demo",
         "params": {"k": 2},
@@ -47,6 +59,6 @@ def test_render_value_forms():
 
 
 def test_str_contains_both_sides():
-    r = equal_report("demo", {"n": 3}, UniPoly((0, 1)), 0)
+    r = CheckReport("demo", {"n": 3}, UniPoly((0, 1)), 0)
     text = str(r)
     assert "fail" in text and "t" in text and "n=3" in text

@@ -36,8 +36,8 @@ series more than once build it once and hold it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import comb
-from typing import NamedTuple
 
 from .polyring import INTEGER_RING, POLY_RING, T, UniPoly, _Ring, binomial
 from .series import Series
@@ -157,9 +157,9 @@ NARAYANA_CONV = "narayana-conv"
 FAMILY_KINDS = (CATALAN_CONV, NARAYANA_CONV)
 
 
-class Family(NamedTuple("Family", [("kind", str), ("k", int)])):
+class Family(namedtuple("Family", "kind k")):
     """A convolution-power family: the immutable, hashable pair (kind, k),
-    checked in a ``__new__`` that a NamedTuple class body may not define."""
+    whose ``__new__`` rejects an unknown kind or a power k < 1."""
 
     __slots__ = ()
 

@@ -16,20 +16,20 @@ by name; the package root does not export them.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 
 from .polyring import Scalar, _Ring, exact_div
 from .families import Family
 
 
-class HankelMatrix(NamedTuple):
+class HankelMatrix(namedtuple("HankelMatrix", "ring seq")):
     """The N x N Hankel matrix over ``ring`` with entry (i, j) = seq[i + j],
     as an immutable (ring, seq) tuple; the empty matrix has the empty
     sequence.  The values are neither checked nor coerced here;
     :func:`leading_minors` does both."""
 
-    ring: _Ring
-    seq: tuple[Scalar, ...]
+    __slots__ = ()
 
     @property
     def n(self) -> int:
@@ -50,21 +50,21 @@ def hankel_matrix(
     return HankelMatrix(ring, tuple(seq(m) for m in range(shift, shift + 2 * size - 1)))
 
 
-def _pseudo_remainder(a: list, deg_a: int, b: list, deg_b: int, floor: int) -> list:
-    """lc(b)^(deg_a - deg_b + 1) * a mod b, kept at degrees >= floor.
+def _pseudo_remainder(a: list, deg_a: int, b: list, deg_b: int) -> list:
+    """lc(b)^(deg_a - deg_b + 1) * a mod b, as far down as it is known.
 
     Both operands are coefficient lists in descending degree order, the
-    first entry nonzero, cut at floors of their own.  The result lists the
-    degrees deg_b - 1 down to floor.  Besides the quotient, which reads only
-    top coefficients, its coefficient of degree e reads a at degree e and
-    b at degrees e - (deg_a - deg_b) .. e, so it is exact whenever a
-    reaches down to floor and b to floor - (deg_a - deg_b).
+    first entry nonzero, cut at floors of their own.  Besides the quotient,
+    which reads only top coefficients, the result's coefficient of degree e
+    reads a at degree e and b at degrees e - (deg_a - deg_b) .. e, so the
+    result lists the degrees deg_b - 1 down to the higher of a's floor and
+    b's floor plus deg_a - deg_b.
     """
     lead = b[0]
-    r = a[: deg_a - floor + 1]
+    r = a
     for _ in range(deg_a - deg_b + 1):
         c = r[0]
-        r = [lead * x - c * y for x, y in zip(r[1:], b[1:])] + [lead * x for x in r[len(b) :]]
+        r = [lead * x - c * y for x, y in zip(r[1:], b[1:])]
     return r
 
 
@@ -87,11 +87,11 @@ def leading_minors(ring: _Ring, seq: Sequence[Scalar]) -> list[Scalar]:
     coefficient is lc^d / h^(d-1), taken by Lazard's iterated exact
     division.  A zero remainder makes every later minor zero.
 
-    Only principal coefficients at degrees >= N - 1 are needed, so a member
-    of formal index j is kept at degrees >= 2(N-1) - j, cut before its
-    exact division because the dropped tail is not divisible.  The sweep
-    then costs O(N^2) ring operations.  Each D(n) equals, in value and
-    type, the determinant of the leading n x n block.
+    Only principal coefficients at degrees >= N - 1 are needed.  G is known
+    at degrees >= 0, and each remainder d degrees above the floor of B, so
+    a member of formal index j is known, and computed, only at degrees
+    >= 2(N-1) - j; the sweep then costs O(N^2) ring operations.  Each D(n)
+    equals, in value and type, the determinant of the leading n x n block.
     """
     if len(seq) % 2 == 0 and seq:
         raise ValueError(f"a Hankel sequence has odd length 2N - 1, not {len(seq)}")
@@ -117,7 +117,7 @@ def leading_minors(ring: _Ring, seq: Sequence[Scalar]) -> list[Scalar]:
         if deg_b < size:
             break
         # the remainder has formal index deg_b - 1
-        r = _pseudo_remainder(a, deg_a, b, deg_b, 2 * (size - 1) - (deg_b - 1))
+        r = _pseudo_remainder(a, deg_a, b, deg_b)
         beta = g
         for _ in range(d):
             beta = beta * h

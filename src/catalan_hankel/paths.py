@@ -16,7 +16,7 @@ table form of the weight sum is read from the closed form of
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from .polyring import UniPoly
 from .families import narayana_conv

@@ -11,10 +11,9 @@ remainder survives.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable
 from math import comb
-from typing import Iterable, NamedTuple, Union
-
-Scalar = Union[int, "UniPoly"]
 
 
 class ExactDivisionError(ArithmeticError):
@@ -137,8 +136,6 @@ class UniPoly:
         rem = list(self.coeffs)
         db = len(o.coeffs) - 1
         lead = o.coeffs[-1]
-        if len(rem) - 1 < db:
-            raise ExactDivisionError(f"{self!r} is not divisible by {o!r}")
         quo = [0] * (len(rem) - db)
         for i in range(len(quo) - 1, -1, -1):
             c = rem[i + db]
@@ -185,16 +182,16 @@ class UniPoly:
         return " ".join(parts)
 
 
+Scalar = int | UniPoly
+
 #: The generator t of Z[t].
 T = UniPoly((0, 1))
 
 
-class _Ring(NamedTuple):
+class _Ring(namedtuple("_Ring", "name zero one")):
     """Coefficient ring descriptor (name, zero, one), with scalar coercion."""
 
-    name: str
-    zero: Scalar
-    one: Scalar
+    __slots__ = ()
 
     def coerce(self, value) -> Scalar:
         """The value as a scalar of this ring; an int is a constant of Z[t]."""

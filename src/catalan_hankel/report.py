@@ -7,13 +7,11 @@ Serialization is NDJSON-friendly: ``to_json`` yields one flat dict per report.
 
 from __future__ import annotations
 
-from typing import Any
-
 from .polyring import UniPoly
 from .series import Series
 
 
-def encode_value(v: Any):
+def encode_value(v):
     """JSON-encodable form: UniPoly as its coefficient list, Series as
     {order, coeffs}, containers element-wise."""
     if isinstance(v, UniPoly):
@@ -25,7 +23,7 @@ def encode_value(v: Any):
     return v
 
 
-def render_value(v: Any) -> str:
+def render_value(v) -> str:
     """Human form: polynomials in explicit-sign ascending notation."""
     if isinstance(v, Series):
         inner = ", ".join(render_value(c) for c in v.coeffs)
@@ -43,7 +41,7 @@ class CheckReport:
     identity, and nothing changes one after it is built.
     """
 
-    def __init__(self, check: str, params: dict[str, Any], lhs: Any, rhs: Any):
+    def __init__(self, check: str, params: dict, lhs, rhs):
         if isinstance(lhs, Series) and isinstance(rhs, Series):
             n = min(lhs.order, rhs.order)
             lhs = Series.from_polynomial(lhs.ring, lhs.coeffs, n)

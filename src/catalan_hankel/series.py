@@ -10,7 +10,7 @@ determined), and reading past the truncation raises
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .polyring import Scalar, _Ring
 

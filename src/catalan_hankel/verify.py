@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import random
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .polyring import INTEGER_RING, POLY_RING, T, UniPoly, binomial
 from .series import Series

@@ -352,20 +352,40 @@ def test_swap_zeroes_the_sizes_it_skips():
     assert leading_minors(POLY_RING, (UniPoly((1,)), z, z, z, z)) == [1, UniPoly((1,)), z, z]
 
 
+#: (family, k, shift, top) -> the chain's steps, summed remainder length
+#: and exact divisions on that sweep.
+CHAIN_WORK = {
+    ("catalan-conv", 4, -2, 40): (37, 1369, 1371),
+    ("catalan-conv", 7, 0, 30): (25, 721, 725),
+    ("narayana-conv", 6, -2, 20): (6, 108, 122),
+    ("narayana-conv", 5, 0, 14): (13, 169, 169),
+}
+
+
 def test_sweep_costs_one_elimination(monkeypatch):
-    calls = []
-    real_div = hankel.exact_div
+    # The chain's work is pinned exactly, so a change that keeps every
+    # minor but keeps a wider remainder or takes more steps fails here; a
+    # change that lowers the work updates these pins.
+    real_prem, real_div = hankel._pseudo_remainder, hankel.exact_div
+    work = [0, 0, 0]
+
+    def counting_prem(*args):
+        r = real_prem(*args)
+        work[0] += 1
+        work[1] += len(r)
+        return r
 
     def counting_div(a, b):
-        calls.append(1)
+        work[2] += 1
         return real_div(a, b)
 
+    monkeypatch.setattr(hankel, "_pseudo_remainder", counting_prem)
     monkeypatch.setattr(hankel, "exact_div", counting_div)
-    dets = family_dets(Family("catalan-conv", 4), -2, 40)
-    assert dets[:6] == [1, 0, 0, -1, -1, 2]
-    # The chain divides O(N^2) coefficients; one 40 x 40 elimination
-    # divides about 19 000 entries.
-    assert 0 < len(calls) <= 40**2
+    for (kind, k, shift, top), expected in CHAIN_WORK.items():
+        work[:] = [0, 0, 0]
+        family_dets(Family(kind, k), shift, top)
+        assert tuple(work) == expected, (kind, k, shift, top)
+    assert family_dets(Family("catalan-conv", 4), -2, 40)[:6] == [1, 0, 0, -1, -1, 2]
 
 
 def test_hankel_matrix_reads_each_index_once():

@@ -84,6 +84,8 @@ def test_exact_div_failures():
     with pytest.raises(ExactDivisionError):
         UniPoly((1, 1)).exact_div(UniPoly((0, 1)))
     with pytest.raises(ExactDivisionError):
+        UniPoly((1,)).exact_div(T)  # a dividend of lower degree
+    with pytest.raises(ExactDivisionError):
         UniPoly((3,)).exact_div(UniPoly((2,)))
     with pytest.raises(ZeroDivisionError):
         UniPoly((1,)).exact_div(UniPoly())

@@ -50,19 +50,19 @@ def hankel_matrix(
     return HankelMatrix(ring, tuple(seq(m) for m in range(shift, shift + 2 * size - 1)))
 
 
-def _pseudo_remainder(a: list, deg_a: int, b: list, deg_b: int) -> list:
-    """lc(b)^(deg_a - deg_b + 1) * a mod b, as far down as it is known.
+def _pseudo_remainder(a: list, b: list, d: int) -> list:
+    """lc(b)^(d + 1) * a mod b, as far down as it is known; d = deg a - deg b.
 
     Both operands are coefficient lists in descending degree order, the
     first entry nonzero, cut at floors of their own.  Besides the quotient,
     which reads only top coefficients, the result's coefficient of degree e
-    reads a at degree e and b at degrees e - (deg_a - deg_b) .. e, so the
-    result lists the degrees deg_b - 1 down to the higher of a's floor and
-    b's floor plus deg_a - deg_b.
+    reads a at degree e and b at degrees e - d .. e, so the result lists
+    the degrees deg b - 1 down to the higher of a's floor and b's floor
+    plus d.
     """
     lead = b[0]
     r = a
-    for _ in range(deg_a - deg_b + 1):
+    for _ in range(d + 1):
         c = r[0]
         r = [lead * x - c * y for x, y in zip(r[1:], b[1:])]
     return r
@@ -100,14 +100,14 @@ def leading_minors(ring: _Ring, seq: Sequence[Scalar]) -> list[Scalar]:
     one = ring.one
     minors: list[Scalar] = [one] + [ring.zero] * size
     top = 2 * size - 1
-    a, deg_a = [one] + [ring.zero] * top, top
+    a = [one] + [ring.zero] * top
     g = h = one
     j = top - 1  # formal subresultant index of b
     while True:
         skip = next((i for i, c in enumerate(b) if c), None)
         if skip is None:
             break
-        b, deg_b, d = b[skip:], j - skip, skip + 1  # d = deg_a - deg_b
+        b, deg_b, d = b[skip:], j - skip, skip + 1  # d = deg a - deg b
         lead = s = b[0]
         for _ in range(d - 1):
             s = exact_div(s * lead, h)
@@ -117,13 +117,13 @@ def leading_minors(ring: _Ring, seq: Sequence[Scalar]) -> list[Scalar]:
         if deg_b < size:
             break
         # the remainder has formal index deg_b - 1
-        r = _pseudo_remainder(a, deg_a, b, deg_b)
+        r = _pseudo_remainder(a, b, d)
         beta = g
         for _ in range(d):
             beta = beta * h
         if d % 2 == 0:
             beta = -beta
-        a, deg_a, g, h, j = b, deg_b, lead, s, deg_b - 1
+        a, g, h, j = b, lead, s, deg_b - 1
         b = [exact_div(c, beta) for c in r]
     return minors
 

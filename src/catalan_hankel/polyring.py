@@ -1,12 +1,14 @@
 """Exact scalar arithmetic for the two coefficient rings.
 
 Integers are plain Python ``int`` (arbitrary precision).  Polynomials in the
-weight variable t are dense integer-coefficient :class:`UniPoly` values.
+weight variable t are dense integer-coefficient :class:`UniPoly` values,
+and each of their operators reads an int operand as a constant.
 ``INTEGER_RING`` and ``POLY_RING`` describe the two rings (zero, one and
 scalar coercion) for the series and matrices built over them.  Both rings
 share :func:`exact_div`, the division used by the fraction-free
-subresultant chain of the Hankel engine: it must be exact and raises :class:`ExactDivisionError` when a
-remainder survives.
+subresultant chain of the Hankel engine: it must be exact, and it raises
+:class:`ExactDivisionError` when a remainder survives.  Over Z[t] its one
+exactness check is the final remainder.
 """
 
 from __future__ import annotations
@@ -65,56 +67,41 @@ class UniPoly:
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
 
-    @staticmethod
-    def _coerce(other) -> "UniPoly | None":
-        if isinstance(other, UniPoly):
-            return other
-        if isinstance(other, int):
-            return UniPoly((other,))
-        return None
-
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
+        b = _operand(other)
+        return NotImplemented if b is None else self.coeffs == b
 
     def __neg__(self) -> "UniPoly":
         return UniPoly(tuple(-c for c in self.coeffs))
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+    def _add(self, other, sign: int):
+        """self + sign * other, in one pass over the padded coefficients."""
+        b = _operand(other)
+        if b is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
+        out = list(self.coeffs)
+        out += [0] * (len(b) - len(out))
         for i, c in enumerate(b):
-            out[i] += c
+            out[i] += sign * c
         return UniPoly(out)
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self._add(other, -1)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        d = self._add(other, -1)
+        return d if d is NotImplemented else -d
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        b = _operand(other)
+        if b is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if not a or not b:
-            return UniPoly()
+        a = self.coeffs
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
@@ -125,30 +112,26 @@ class UniPoly:
     __rmul__ = __mul__
 
     def exact_div(self, other: "UniPoly") -> "UniPoly":
-        """Quotient self / other when the division is exact in Z[t]."""
-        o = self._coerce(other)
-        if o is None:
+        """Quotient self / other when the division is exact in Z[t]; a step
+        that does not divide leaves a remainder that no later step reads."""
+        b = _operand(other)
+        if b is None:
             raise TypeError(f"cannot divide UniPoly by {type(other).__name__}")
-        if not o:
+        if not b:
             raise ZeroDivisionError("exact division by the zero polynomial")
-        if not self:
-            return UniPoly()
         rem = list(self.coeffs)
-        db = len(o.coeffs) - 1
-        lead = o.coeffs[-1]
+        db = len(b) - 1
+        lead = b[-1]
         quo = [0] * (len(rem) - db)
         for i in range(len(quo) - 1, -1, -1):
             c = rem[i + db]
             if c == 0:
                 continue
-            q, r = divmod(c, lead)
-            if r:
-                raise ExactDivisionError(f"{self!r} is not divisible by {o!r}")
-            quo[i] = q
-            for j, cb in enumerate(o.coeffs):
+            q = quo[i] = c // lead
+            for j, cb in enumerate(b):
                 rem[i + j] -= q * cb
         if any(rem):
-            raise ExactDivisionError(f"{self!r} is not divisible by {o!r}")
+            raise ExactDivisionError(f"{self!r} is not divisible by {UniPoly(b)!r}")
         return UniPoly(quo)
 
     def __call__(self, value: int) -> int:
@@ -182,6 +165,16 @@ class UniPoly:
         return " ".join(parts)
 
 
+def _operand(other) -> "tuple[int, ...] | None":
+    """The coefficients of a ring operand, or None for a foreign one; an int
+    is a constant, and 0 is the empty tuple."""
+    if isinstance(other, UniPoly):
+        return other.coeffs
+    if isinstance(other, int):
+        return (other,) if other else ()
+    return None
+
+
 Scalar = int | UniPoly
 
 #: The generator t of Z[t].
@@ -194,7 +187,10 @@ class _Ring(namedtuple("_Ring", "name zero one")):
     __slots__ = ()
 
     def coerce(self, value) -> Scalar:
-        """The value as a scalar of this ring; an int is a constant of Z[t]."""
+        """The value as a scalar of this ring; a bool is its int, and an int
+        is a constant of Z[t]."""
+        if isinstance(value, bool):
+            value = int(value)
         if isinstance(value, type(self.one)):
             return value
         if isinstance(value, int):  # so this ring is Z[t]
@@ -213,8 +209,6 @@ def exact_div(a: Scalar, b: Scalar) -> Scalar:
     """
     if isinstance(a, UniPoly):
         return a.exact_div(b)
-    if b == 0:
-        raise ZeroDivisionError("exact division by zero")
     q, r = divmod(a, b)
     if r:
         raise ExactDivisionError(f"{a} is not divisible by {b}")

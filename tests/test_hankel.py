@@ -115,6 +115,12 @@ def test_matrix_values_live_in_its_ring():
     minors = leading_minors(POLY_RING, (1, 2, 5))
     assert minors == [UniPoly((1,))] * 3
     assert all(type(d) is UniPoly for d in minors)
+    # A bool is read as its int in both rings, so JSON prints 1, not true.
+    minors = leading_minors(INTEGER_RING, (True,))
+    assert minors == [1, 1] and [type(d) for d in minors] == [int, int]
+    minors = leading_minors(POLY_RING, (True,))
+    assert [d.coeffs for d in minors] == [(1,), (1,)]
+    assert [type(d.coeffs[0]) for d in minors] == [int, int]
     # A polynomial is not an integer.
     for seq in ((UniPoly((0, 1)),), (1, UniPoly((2,)), 3)):
         with pytest.raises(TypeError):

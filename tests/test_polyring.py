@@ -1,10 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from catalan_hankel import ExactDivisionError, INTEGER_RING, T, UniPoly, binomial, exact_div
+from catalan_hankel import ExactDivisionError, INTEGER_RING, Series, T, UniPoly, binomial, exact_div
 
 from oracles import dadd, dmul, dpoly, dpoly_to_tuple, pascal_binomial
 
@@ -80,6 +80,48 @@ def test_ring_axioms(a, b, c, n):
     assert a + n == a + UniPoly((n,)) and a * n == a * UniPoly((n,))
 
 
+@PROPERTY
+@given(polys, polys, st.integers(-50, 50))
+def test_sub_and_int_operands_match_dict_oracle(a, b, n):
+    def neg(d):
+        return {e: -c for e, c in d.items()}
+
+    da, db = dpoly(a.coeffs), dpoly(b.coeffs)
+    assert (a - b).coeffs == dpoly_to_tuple(dadd(da, neg(db)))
+    for m in (n, 0):
+        dm = dpoly((m,))
+        assert (a - m).coeffs == dpoly_to_tuple(dadd(da, neg(dm)))
+        assert (m - a).coeffs == dpoly_to_tuple(dadd(dm, neg(da)))
+        assert (m + a).coeffs == dpoly_to_tuple(dadd(dm, da))
+        assert (a == m) == (a.coeffs == dpoly_to_tuple(dm))
+
+
+@PROPERTY
+@given(polys, polys.filter(lambda b: len(b.coeffs) > 1), polys)
+def test_exact_div_rejects_every_remainder(a, b, r):
+    # a nonzero r below deg b is the remainder of a * b + r, so no exact
+    # quotient exists, whatever b's leading coefficient
+    r = UniPoly(r.coeffs[: len(b.coeffs) - 1])
+    assume(r)
+    num = a * b + r
+    message = f"{num!r} is not divisible by {b!r}"
+    with pytest.raises(ExactDivisionError) as err:
+        num.exact_div(b)
+    assert str(err.value) == message
+    with pytest.raises(ExactDivisionError) as err:
+        exact_div(num, b)
+    assert str(err.value) == message
+
+
+def test_foreign_operands():
+    s, p = Series(INTEGER_RING, [1, 2]), UniPoly((1, 1))
+    with pytest.raises(TypeError):
+        s - p
+    with pytest.raises(TypeError):
+        p - s
+    assert (UniPoly((1,)) == 1.0) is False
+    assert (UniPoly((1,)) != 1.0) is True
+
 def test_exact_div_failures():
     with pytest.raises(ExactDivisionError):
         UniPoly((1, 1)).exact_div(UniPoly((0, 1)))
@@ -93,9 +135,11 @@ def test_exact_div_failures():
         exact_div(7, 2)
     with pytest.raises(ZeroDivisionError):
         exact_div(7, 0)
-    # the dividend picks the ring: an int is not promoted to Z[t] here
-    with pytest.raises(TypeError):
-        exact_div(6, UniPoly((2,)))
+    # the dividend picks the ring: an int is not promoted to Z[t] here,
+    # not even to be divided by the zero polynomial
+    for b in (UniPoly((2,)), UniPoly()):
+        with pytest.raises(TypeError):
+            exact_div(6, b)
     assert exact_div(-6, 3) == -2
 
 

@@ -79,6 +79,9 @@ def test_mixed_ring_rejected():
         a * b
     with pytest.raises(TypeError):
         Series(INTEGER_RING, [UniPoly((1,))])
+    # a bool is read as its int
+    assert [type(c) for c in Series(INTEGER_RING, [True, 2]).coeffs] == [int, int]
+    assert type(Series(POLY_RING, [False, True]).coeffs[1].coeffs[0]) is int
 
 
 def test_reciprocal_of_catalan_series():

@@ -17,7 +17,7 @@ import signal
 import sys
 
 from .families import CATALAN_CONV, FAMILY_KINDS, NARAYANA_CONV, Family
-from .hankel import family_dets, hankel_matrix
+from .hankel import hankel_matrix, leading_minors
 from .paths import enumerate_paths, path_weight_sum_table
 from .polyring import INTEGER_RING, UniPoly
 from .report import encode_value
@@ -78,20 +78,21 @@ def _emit(records, fmt: str, plain) -> None:
 _plain_row = "{n}: {value}".format_map
 
 
-def _check_t_eval(family: Family, t_eval) -> None:
-    """Refuse --t-eval for an integer family, or with |T| over its limit,
-    before any entry is read.  The message names the limit, not T."""
+def _entries(family: Family, t_eval):
+    """(ring, value) of a ``seq`` or ``hankel`` request: the family's own,
+    or with --t-eval T each entry evaluated at T, in Z.  Evaluation is a
+    ring map Z[t] -> Z and commutes with determinants, so the chain over
+    the evaluated entries gives the evaluated minors.  Refuses --t-eval for
+    an integer family, or with |T| over its limit, before any entry is
+    read; the message names the limit, not T."""
     if t_eval is None:
-        return
+        return family.ring, family.value
     if family.ring is INTEGER_RING:
         raise ValueError("--t-eval only applies to polynomial-valued output")
     limit = LIMITS[family.kind]["t_eval"]
     if abs(t_eval) > limit:
         raise ValueError(f"--t-eval |T| is over the {family.kind} limit {limit}")
-
-
-def _maybe_eval(value, t_eval):
-    return value if t_eval is None else value(t_eval)
+    return INTEGER_RING, lambda n: family.value(n)(t_eval)
 
 
 def _parse_sizes(text: str) -> range:
@@ -110,12 +111,9 @@ def _cmd_seq(args) -> int:
     _check_limits(args.family, k=args.k, n_max=args.n_max)
     if args.n_max < 0:
         raise ValueError(f"--n-max {args.n_max} must be >= 0")
-    family = Family(args.family, args.k)
-    _check_t_eval(family, args.t_eval)
+    _, value = _entries(Family(args.family, args.k), args.t_eval)
     # A generator, so each row is printed before the next is computed.
-    rows = (
-        {"n": n, "value": _maybe_eval(family.value(n), args.t_eval)} for n in range(args.n_max + 1)
-    )
+    rows = ({"n": n, "value": value(n)} for n in range(args.n_max + 1))
     _emit(rows, args.format, _plain_row)
     return 0
 
@@ -130,16 +128,15 @@ def _cmd_hankel(args) -> int:
         raise ValueError("--matrix wants exactly one size")
     if args.matrix and args.format == "csv":
         raise ValueError("--matrix prints JSON and takes no --format csv")
-    _check_t_eval(family, args.t_eval)
+    ring, value = _entries(family, args.t_eval)
+    m = hankel_matrix(ring, value, args.shift, sizes[-1])
     if args.matrix:
-        m = hankel_matrix(family.ring, family.value, args.shift, sizes[0])
-        seq = [_maybe_eval(v, args.t_eval) for v in m.seq]
-        rows = [seq[i : i + m.n] for i in range(m.n)]
+        rows = [m.seq[i : i + m.n] for i in range(m.n)]
         _print_json({"n": m.n, "rows": encode_value(rows)})
         return 0
     # The sizes are one contiguous range, read from one sweep of the largest.
-    dets = family_dets(family, args.shift, sizes[-1])
-    rows = ({"n": size, "value": _maybe_eval(dets[size], args.t_eval)} for size in sizes)
+    minors = leading_minors(ring, m.seq)
+    rows = ({"n": size, "value": minors[size]} for size in sizes)
     _emit(rows, args.format, _plain_row)
     return 0
 

@@ -9,9 +9,10 @@ Z[t], and it yields the determinants of every size of a sweep in O(N^2)
 ring operations.  Zero minors show up as degree gaps of the chain.
 
 The chain's one entry is ``leading_minors(ring, seq)``, which checks and
-coerces the sequence.  ``HankelMatrix``, ``hankel_matrix`` and
-``det_fraction_free`` stay only because ``perfbench/tracer.py`` times them
-by name; the package root does not export them.
+coerces the sequence, and ``hankel_matrix`` is the CLI's one entry read.
+``HankelMatrix``, ``hankel_matrix`` and ``det_fraction_free`` also stay
+because ``perfbench/tracer.py`` times them by name; the package root
+does not export them.
 """
 
 from __future__ import annotations

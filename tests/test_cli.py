@@ -28,6 +28,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+#: A dense Z[t] sweep evaluated at T = 2, and the sha256 of its stdout.
+T_EVAL_SWEEP = (
+    "hankel", "--family", "narayana-conv", "--k", "9", "--sizes", "0..30", "--t-eval", "2",
+)
+T_EVAL_SWEEP_DIGEST = "e760e4b37fdb41d408042215fdee367f7cf8fbc2eab828de9ae8d691c976676e"
+
+
 def test_seq_plain(capsys):
     code, out, _ = run_cli(capsys, "seq", "--family", "catalan-conv", "--k", "1", "--n-max", "5")
     assert code == 0
@@ -253,10 +260,32 @@ def test_paths_list_digest(capsys, fmt, digest):
             ("paths", "--length", "30", "--height", "2"),
             "4997ad6194782988188367c1e0f11a01c7e19405b9dad1110bc59c9cc9472444",
         ),
+        (T_EVAL_SWEEP, T_EVAL_SWEEP_DIGEST),
+        (
+            ("hankel", "--family", "narayana-conv", "--k", "7", "--shift", "-3",
+             "--sizes", "0..26", "--t-eval", "-5", "--format", "csv"),
+            "891a73f7ff1d0a266c55b2c7ca13633e03d4093d89d820e78085bb1fb4b78e6f",
+        ),
+        (
+            ("hankel", "--family", "narayana-conv", "--k", "5", "--shift", "2",
+             "--sizes", "0..16", "--t-eval", "-1"),
+            "11867a226a6d115d16135e8315c3a222ab46d038573d6eefc98fa4a169f1ff8e",
+        ),
+        (
+            ("hankel", "--family", "narayana-conv", "--k", "3", "--sizes", "0..12",
+             "--t-eval", str(2**64), "--format", "json"),
+            "d522979ebb653c7a8ad7408707c01d11f74ef34181c18d28af5169d173c72075",
+        ),
+        (
+            ("seq", "--family", "narayana-conv", "--k", "3", "--n-max", "30",
+             "--t-eval", "-2", "--format", "csv"),
+            "089c7d0da770de3e269a7237460b574071de234eec558a28421dde1e823ed283",
+        ),
     ],
 )
 def test_output_digest(capsys, argv, digest):
-    # frozen from the per-command printers that one emitter replaced
+    # frozen from the per-command printers that one emitter replaced, and
+    # the --t-eval ones from the Z[t] chain evaluated only after it ran
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -277,16 +306,46 @@ def test_hankel_range_is_tail_of_full_sweep(capsys, fmt):
 
 
 def test_hankel_t_eval_rejected_before_elimination(capsys, monkeypatch):
-    def never(ring, seq):
-        raise AssertionError("swept a matrix for a refused request")
+    def never(*args):
+        raise AssertionError("read an entry for a refused request")
 
-    monkeypatch.setattr(hankel, "leading_minors", never)
+    for name in ("catalan_conv", "narayana_conv"):
+        monkeypatch.setattr(families, name, never)
     code, out, err = run_cli(
         capsys, "hankel", "--family", "catalan-conv", "--k", "3", "--sizes", "0..60",
         "--t-eval", "2",
     )
     assert (code, out) == (2, "")
     assert err == "error: --t-eval only applies to polynomial-valued output\n"
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(
+    k=st.integers(1, 7),
+    shift=st.integers(-6, 4),
+    top=st.integers(0, 9),
+    t=st.one_of(st.sampled_from([0, 1, -1, 2**64, -2**64]), st.integers(-9, 9)),
+)
+def test_hankel_t_eval_equals_the_evaluated_z_t_minors(k, shift, top, t):
+    # The CLI runs the chain over Z on entries evaluated at T; evaluation is
+    # a ring map Z[t] -> Z, so the Z[t] minors evaluated at T must agree.
+    family = families.Family("narayana-conv", k)
+    expected = [d(t) for d in hankel.family_dets(family, shift, top)]
+    argv = ["hankel", "--family", "narayana-conv", "--k", str(k), "--shift", str(shift),
+            "--sizes", f"0..{top}", "--t-eval", str(t), "--format", "json"]
+    records = [json.loads(line) for line in _stdout(argv)]
+    assert records == [{"n": n, "value": v} for n, v in enumerate(expected)]
+
+
+def test_hankel_t_eval_does_no_z_t_arithmetic(capsys, monkeypatch):
+    def no_ring_op(*args):
+        raise AssertionError("Z[t] arithmetic for an evaluated request")
+
+    for name in ("__mul__", "__rmul__", "exact_div"):
+        monkeypatch.setattr(UniPoly, name, no_ring_op)
+    code, out, err = run_cli(capsys, *T_EVAL_SWEEP)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == T_EVAL_SWEEP_DIGEST
 
 
 @pytest.mark.skipif(

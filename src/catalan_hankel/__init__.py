@@ -15,7 +15,6 @@ from .polyring import (
     T,
     UniPoly,
     binomial,
-    exact_div,
 )
 from .series import Series, TruncationError
 from .families import (
@@ -54,7 +53,6 @@ __all__ = [
     "companion_poly",
     "companion_poly_t",
     "enumerate_paths",
-    "exact_div",
     "family_dets",
     "leading_minors",
     "lucas",

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 
-from .polyring import Scalar, _Ring, exact_div
+from .polyring import Scalar, _Ring
 from .families import Family
 
 
@@ -86,7 +86,8 @@ def leading_minors(ring: _Ring, seq: Sequence[Scalar]) -> list[Scalar]:
     deg A; its formal index is j = deg B - 1.  If its degree falls below j,
     the minors of the skipped degrees are zero, and its own principal
     coefficient is lc^d / h^(d-1), taken by Lazard's iterated exact
-    division.  A zero remainder makes every later minor zero.
+    division.  Every division is the ring's ``div``.  A zero remainder
+    makes every later minor zero.
 
     Only principal coefficients at degrees >= N - 1 are needed.  G is known
     at degrees >= 0, and each remainder d degrees above the floor of B, so
@@ -97,6 +98,7 @@ def leading_minors(ring: _Ring, seq: Sequence[Scalar]) -> list[Scalar]:
     if len(seq) % 2 == 0 and seq:
         raise ValueError(f"a Hankel sequence has odd length 2N - 1, not {len(seq)}")
     b = [ring.coerce(v) for v in seq]
+    div = ring.div
     size = (len(b) + 1) // 2
     one = ring.one
     minors: list[Scalar] = [one] + [ring.zero] * size
@@ -111,7 +113,7 @@ def leading_minors(ring: _Ring, seq: Sequence[Scalar]) -> list[Scalar]:
         b, deg_b, d = b[skip:], j - skip, skip + 1  # d = deg a - deg b
         lead = s = b[0]
         for _ in range(d - 1):
-            s = exact_div(s * lead, h)
+            s = div(s * lead, h)
         n = top - deg_b
         if n <= size:
             minors[n] = -s if n % 4 in (2, 3) else s
@@ -125,7 +127,7 @@ def leading_minors(ring: _Ring, seq: Sequence[Scalar]) -> list[Scalar]:
         if d % 2 == 0:
             beta = -beta
         a, g, h, j = b, lead, s, deg_b - 1
-        b = [exact_div(c, beta) for c in r]
+        b = [div(c, beta) for c in r]
     return minors
 
 

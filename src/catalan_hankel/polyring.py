@@ -3,12 +3,12 @@
 Integers are plain Python ``int`` (arbitrary precision).  Polynomials in the
 weight variable t are dense integer-coefficient :class:`UniPoly` values,
 and each of their operators reads an int operand as a constant.
-``INTEGER_RING`` and ``POLY_RING`` describe the two rings (zero, one and
-scalar coercion) for the series and matrices built over them.  Both rings
-share :func:`exact_div`, the division used by the fraction-free
-subresultant chain of the Hankel engine: it must be exact, and it raises
-:class:`ExactDivisionError` when a remainder survives.  Over Z[t] its one
-exactness check is the final remainder.
+``INTEGER_RING`` and ``POLY_RING`` describe the two rings (zero, one,
+scalar coercion and ``div``) for the series and matrices built over them.
+``div`` is the exact division of the ring's own elements that the
+fraction-free subresultant chain of the Hankel engine uses: it raises
+:class:`ExactDivisionError` when a remainder survives.  Over Z[t] it is
+:meth:`UniPoly.exact_div`, whose one exactness check is the final remainder.
 """
 
 from __future__ import annotations
@@ -59,6 +59,8 @@ class UniPoly:
     def monomial(cls, degree: int, c: int = 1) -> "UniPoly":
         if degree < 0:
             raise ValueError("monomial degree must be non-negative")
+        if isinstance(c, bool):
+            c = int(c)
         return cls((0,) * degree + (c,))
 
     def __bool__(self) -> bool:
@@ -181,8 +183,8 @@ Scalar = int | UniPoly
 T = UniPoly((0, 1))
 
 
-class _Ring(namedtuple("_Ring", "name zero one")):
-    """Coefficient ring descriptor (name, zero, one), with scalar coercion."""
+class _Ring(namedtuple("_Ring", "name zero one div")):
+    """Coefficient ring descriptor (name, zero, one, div), with coercion."""
 
     __slots__ = ()
 
@@ -198,18 +200,13 @@ class _Ring(namedtuple("_Ring", "name zero one")):
         raise TypeError(f"{value!r} is not a scalar of {self.name}")
 
 
-INTEGER_RING = _Ring("ZZ", 0, 1)
-POLY_RING = _Ring("ZZ[t]", UniPoly(), UniPoly((1,)))
-
-
-def exact_div(a: Scalar, b: Scalar) -> Scalar:
-    """Exact division in the dividend's ring; an int is not divided by a
-    UniPoly (TypeError).  Raises ExactDivisionError when the quotient would
-    not be exact.
-    """
-    if isinstance(a, UniPoly):
-        return a.exact_div(b)
+def _int_div(a: int, b: int) -> int:
     q, r = divmod(a, b)
     if r:
         raise ExactDivisionError(f"{a} is not divisible by {b}")
     return q
+
+
+INTEGER_RING = _Ring("ZZ", 0, 1, _int_div)
+# looks UniPoly.exact_div up per call, so a wrapper on it sees every division
+POLY_RING = _Ring("ZZ[t]", UniPoly(), UniPoly((1,)), lambda a, b: a.exact_div(b))

@@ -7,12 +7,16 @@ square matrix instead of a subresultant chain on a Hankel sequence, a fresh
 elimination per matrix size instead of one sweep, list convolution and the
 path additions of the Prop 1 ballot recurrence instead of closed forms,
 Dyck-path peak counting for the Narayana refinement, and per-path heights
-and weights read off a step tuple instead of tallied during the walk.
+and weights read off a step tuple instead of tallied during the walk.  The
+determinant oracles do their own arithmetic: ``//`` over Z and dict
+polynomials over Z[t], never the package's ring operations.
 """
 
+import operator
+from collections import namedtuple
 from functools import lru_cache
 
-from catalan_hankel import UniPoly, exact_div
+from catalan_hankel import UniPoly
 
 
 @lru_cache(maxsize=None)
@@ -65,37 +69,80 @@ def dpoly_to_tuple(d: dict) -> tuple[int, ...]:
     return tuple(out)
 
 
+# -- the determinant oracles' arithmetic: read in, compute, write back ------
+
+def dneg(a: dict) -> dict:
+    return {e: -c for e, c in a.items()}
+
+
+def ddiv(a: dict, b: dict) -> dict:
+    """Exact quotient a / b of dict polynomials, by long division from the
+    top term; asserts that no remainder is left."""
+    eb = max(b)
+    quo: dict[int, int] = {}
+    rem = a
+    while rem:
+        e = max(rem)
+        q, r = divmod(rem[e], b[eb])
+        assert e >= eb and not r, f"{a} is not divisible by {b}"
+        quo[e - eb] = q
+        rem = dadd(rem, {e - eb + x: -q * c for x, c in b.items()})
+    return quo
+
+
+def idiv(a: int, b: int) -> int:
+    assert a % b == 0, f"{a} is not divisible by {b}"
+    return a // b
+
+
+#: A ring's operations for the oracles: ``read`` takes a library value to
+#: the oracle's own form, ``write`` takes a result back for comparison.
+Arith = namedtuple("Arith", "read write one add neg mul div")
+ZZ = Arith(int, int, 1, operator.add, operator.neg, operator.mul, idiv)
+ZZ_T = Arith(
+    lambda p: dpoly(p.coeffs), lambda d: UniPoly(dpoly_to_tuple(d)), {0: 1},
+    dadd, dneg, dmul, ddiv,
+)
+
+
+def _read(rows, ops):
+    return [[ops.read(v) for v in row] for row in rows]
+
+
 # -- determinants by cofactor expansion along the first row -----------------
 
-def cofactor_det(rows):
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = rows[0][j] * cofactor_det(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
+def cofactor_det(rows, ops):
+    """Determinant of a square matrix over the ring whose operations are
+    ``ops``, by cofactor expansion."""
+
+    def expand(rows):
+        if not rows:
+            return ops.one
+        total = None
+        for j in range(len(rows)):
+            minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+            term = ops.mul(rows[0][j], expand(minor))
+            if j % 2:
+                term = ops.neg(term)
+            total = term if total is None else ops.add(total, term)
+        return total
+
+    return ops.write(expand(_read(rows, ops)))
 
 
 # -- one fraction-free elimination per matrix size ---------------------------
 
-def per_size_det(rows, one):
+def per_size_det(rows, ops):
     """Determinant of one square matrix by its own one-step fraction-free
-    elimination, with ``one`` the ring's one; the result the library's
-    single sweep must reproduce, in value and type, for every leading
-    block."""
+    elimination over the ring whose operations are ``ops``; the result the
+    library's single sweep must reproduce, in value and type, for every
+    leading block."""
     n = len(rows)
     if n == 0:
-        return one
-    a = [list(row) for row in rows]
+        return ops.write(ops.one)
+    a = _read(rows, ops)
     sign = 1
-    prev = one
+    prev = ops.one
     for col in range(n - 1):
         if not a[col][col]:
             for r in range(col + 1, n):
@@ -104,25 +151,26 @@ def per_size_det(rows, one):
                     sign = -sign
                     break
             else:
-                return a[col][col]  # the ring's zero
+                return ops.write(a[col][col])  # the ring's zero
         piv = a[col][col]
         for r in range(col + 1, n):
             lead = a[r][col]
             row_r = a[r]
             row_c = a[col]
             for c in range(col + 1, n):
-                val = piv * row_r[c] - lead * row_c[c]
-                row_r[c] = val if col == 0 else exact_div(val, prev)
+                val = ops.add(ops.mul(piv, row_r[c]), ops.neg(ops.mul(lead, row_c[c])))
+                row_r[c] = val if col == 0 else ops.div(val, prev)
         prev = piv
     d = a[n - 1][n - 1]
-    return -d if sign < 0 else d
+    return ops.write(ops.neg(d) if sign < 0 else d)
 
 
 # -- every leading minor of any square matrix from one elimination -----------
 
-def sweep_minors(rows, one):
+def sweep_minors(rows, ops):
     """Every leading principal minor [D(0), ..., D(n)] of a square matrix of
-    any shape, from one one-step fraction-free elimination.
+    any shape over the ring whose operations are ``ops``, from one one-step
+    fraction-free elimination.
 
     a[i-1][i-1], just before column i-1 is pivoted, is the i x i leading
     minor of the row-permuted matrix, so D(i) is read off there with the
@@ -134,14 +182,14 @@ def sweep_minors(rows, one):
     these on every Hankel matrix, in value and type.
     """
     n = len(rows)
-    a = [list(row) for row in rows]
-    minors = [one]
+    a = _read(rows, ops)
+    minors = [ops.one]
     sign = 1
-    prev = one
+    prev = ops.one
     for col in range(n):
         d = a[col][col]
         if len(minors) == col + 1:
-            minors.append(-d if sign < 0 else d)
+            minors.append(ops.neg(d) if sign < 0 else d)
         if not d:
             for r in range(col + 1, n):
                 if a[r][col]:
@@ -151,17 +199,17 @@ def sweep_minors(rows, one):
                     break
             else:
                 minors += [d] * (n + 1 - len(minors))
-                return minors
+                break
         piv = a[col][col]
         for r in range(col + 1, n):
             lead = a[r][col]
             row_r = a[r]
             row_c = a[col]
             for c in range(col + 1, n):
-                val = piv * row_r[c] - lead * row_c[c]
-                row_r[c] = val if col == 0 else exact_div(val, prev)
+                val = ops.add(ops.mul(piv, row_r[c]), ops.neg(ops.mul(lead, row_c[c])))
+                row_r[c] = val if col == 0 else ops.div(val, prev)
         prev = piv
-    return minors
+    return [ops.write(m) for m in minors]
 
 
 # -- convolution powers by repeated list convolution -------------------------

@@ -16,7 +16,7 @@ from catalan_hankel import (
 )
 from catalan_hankel.verify import run_suite
 
-from oracles import cofactor_det
+from oracles import ZZ, ZZ_T, cofactor_det
 
 
 def _criterion(num, name, ok):
@@ -188,11 +188,11 @@ def test_10_determinant_oracle_agreement():
         a = [rng.randint(-9, 9) for _ in range(max(0, 2 * n - 1))]
         if n >= 2 and rng.random() < 0.2:
             a = _make_singular(a, n)  # exact singular case
-        ok = ok and leading_minors(INTEGER_RING, a)[-1] == cofactor_det(_hankel_rows(a, n))
+        ok = ok and leading_minors(INTEGER_RING, a)[-1] == cofactor_det(_hankel_rows(a, n), ZZ)
     for _ in range(100):
         n = rng.randint(1, 4)
         a = [UniPoly([rng.randint(-5, 5) for _ in range(3)]) for _ in range(2 * n - 1)]
         if n >= 2 and rng.random() < 0.2:
             a = _make_singular(a, n)
-        ok = ok and leading_minors(POLY_RING, a)[-1] == cofactor_det(_hankel_rows(a, n))
+        ok = ok and leading_minors(POLY_RING, a)[-1] == cofactor_det(_hankel_rows(a, n), ZZ_T)
     _criterion(10, "Hankel minors vs cofactor determinants", ok)

@@ -47,11 +47,12 @@ def test_root_exports_the_chain_entry():
         assert getattr(catalan_hankel, name) is getattr(hankel, name)
 
 
-# Names whose callers now use str(p), catalan_conv(1, n), narayana_conv(1, n),
-# len(reports) with all(r.ok for r in reports), and CheckReport(check,
-# params, lhs, rhs).
+# Names whose callers now use str(p), a ring's div, catalan_conv(1, n),
+# narayana_conv(1, n), len(reports) with all(r.ok for r in reports), and
+# CheckReport(check, params, lhs, rhs).
 REMOVED_ALIASES = [
     ("polyring", "render" + "_poly"),
+    ("polyring", "exact_div"),
     ("families", "cat" + "alan"),
     ("families", "nara" + "yana"),
     ("report", "summ" + "arize"),

@@ -18,7 +18,7 @@ from catalan_hankel import (
 from catalan_hankel.hankel import HankelMatrix, hankel_matrix
 from catalan_hankel.report import encode_value
 
-from oracles import cofactor_det, per_size_det, sweep_minors
+from oracles import ZZ, ZZ_T, cofactor_det, per_size_det, sweep_minors
 
 # Fixed-seed examples and no example database, so tier-1 replays exactly.
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
@@ -39,8 +39,13 @@ def det(ring, a):
     return leading_minors(ring, a)[-1]
 
 
-def oracle_det(rows, one=1):
-    return sweep_minors(rows, one)[-1]
+def oracle_det(rows, ops=ZZ):
+    return sweep_minors(rows, ops)[-1]
+
+
+def oracle_ops(ring):
+    """The oracles' own arithmetic for ``ring``."""
+    return ZZ_T if ring is POLY_RING else ZZ
 
 
 def test_hankel_matrix_validation():
@@ -137,7 +142,7 @@ def test_det_singular_exactly_zero():
     t = UniPoly((0, 1))
     row = (1 + t, 2 * t, UniPoly((3,)))
     rows = (row, tuple(2 * e for e in row), (t, UniPoly((1,)), 1 + t))
-    assert oracle_det(rows, UniPoly((1,))) == UniPoly()
+    assert oracle_det(rows, ZZ_T) == UniPoly()
     # Hankel twins: geometric sequences give rank 1, arithmetic ones rank 2.
     assert det(INTEGER_RING, (1, 2, 4, 8, 16)) == 0
     assert det(INTEGER_RING, (1, 2, 3, 4, 5)) == 0
@@ -187,11 +192,12 @@ def square(entries, n_max):
 def assert_det_matches_cofactor(general, ring, seq):
     """The sweep oracle on a general matrix and the library on a Hankel
     sequence, both against cofactor expansion."""
-    expected = [cofactor_det(block) for block in leading_blocks(general)]
-    assert sweep_minors(general, ring.one) == expected
+    ops = oracle_ops(ring)
+    expected = [cofactor_det(block, ops) for block in leading_blocks(general)]
+    assert sweep_minors(general, ops) == expected
     rows = windows(seq)
-    assert det(ring, seq) == cofactor_det([list(r) for r in rows])
-    assert leading_minors(ring, seq) == [cofactor_det(block) for block in leading_blocks(rows)]
+    assert det(ring, seq) == cofactor_det([list(r) for r in rows], ops)
+    assert leading_minors(ring, seq) == [cofactor_det(block, ops) for block in leading_blocks(rows)]
 
 
 DENSE_INT = st.integers(-9, 9)
@@ -212,12 +218,11 @@ def test_det_against_cofactor_oracle_poly(m, h):
 
 def test_det_commutes_with_evaluation():
     rng = random.Random(23)
-    one = UniPoly((1,))
     for _ in range(25):
         n = rng.randint(1, 4)
         rows = [[rand_poly(rng) for _ in range(n)] for _ in range(n)]
         at_two = [[e(2) for e in row] for row in rows]
-        assert oracle_det(rows, one)(2) == oracle_det(at_two)
+        assert oracle_det(rows, ZZ_T)(2) == oracle_det(at_two)
         seq = [rand_poly(rng) for _ in range(2 * n - 1)]
         assert det(POLY_RING, seq)(2) == det(INTEGER_RING, [e(2) for e in seq])
 
@@ -263,23 +268,23 @@ def test_power_and_size_checked_before_any_entry(kind, k, size):
         family_dets(Family(kind, k), 0, size)
 
 
-def assert_minors_match_per_size(rows, one, minors):
+def assert_minors_match_per_size(rows, ops, minors):
     """``minors`` of the matrix ``rows`` against one elimination per
     leading block, in value and type."""
     assert len(minors) == len(rows) + 1
     for i, block in enumerate(leading_blocks(rows)):
-        expected = per_size_det(block, one)
+        expected = per_size_det(block, ops)
         assert minors[i] == expected and type(minors[i]) is type(expected), (i, rows)
 
 
 def assert_library_minors_match_per_size(ring, seq):
-    assert_minors_match_per_size(windows(seq), ring.one, leading_minors(ring, seq))
+    assert_minors_match_per_size(windows(seq), oracle_ops(ring), leading_minors(ring, seq))
 
 
 def assert_library_minors_match_sweep(ring, seq):
     """``leading_minors(ring, seq)`` against the independent sweep oracle,
     in value and type; returns the minors."""
-    minors, swept = leading_minors(ring, seq), sweep_minors(windows(seq), ring.one)
+    minors, swept = leading_minors(ring, seq), sweep_minors(windows(seq), oracle_ops(ring))
     assert minors == swept and list(map(type, minors)) == list(map(type, swept))
     return minors
 
@@ -311,24 +316,23 @@ SPARSE_POLY = st.lists(st.integers(-3, 3) | st.just(0), max_size=3).map(UniPoly)
 @PROPERTY
 @given(square(SPARSE_INT, 8), hankel_sequences(INTEGER_RING, SPARSE_INT, 8))
 def test_leading_minors_match_per_size_sparse_int(m, h):
-    assert_minors_match_per_size(m, 1, sweep_minors(m, 1))
+    assert_minors_match_per_size(m, ZZ, sweep_minors(m, ZZ))
     assert_library_minors_match_per_size(INTEGER_RING, h)
 
 
 @PROPERTY
 @given(square(SPARSE_POLY, 4), hankel_sequences(POLY_RING, SPARSE_POLY, 4))
 def test_leading_minors_match_per_size_sparse_poly(m, h):
-    one = POLY_RING.one
-    assert_minors_match_per_size(m, one, sweep_minors(m, one))
+    assert_minors_match_per_size(m, ZZ_T, sweep_minors(m, ZZ_T))
     assert_library_minors_match_per_size(POLY_RING, h)
 
 
 def assert_minors_match_every_oracle(ring, seq):
     minors = assert_library_minors_match_sweep(ring, seq)
     rows = windows(seq)
-    assert_minors_match_per_size(rows, ring.one, minors)
+    assert_minors_match_per_size(rows, oracle_ops(ring), minors)
     for d, block in list(zip(minors, leading_blocks(rows)))[1:7]:
-        expected = cofactor_det(block)
+        expected = cofactor_det(block, oracle_ops(ring))
         assert d == expected and type(d) is type(expected)
 
 
@@ -347,11 +351,11 @@ def test_hankel_minors_match_every_oracle_poly(seq):
 def test_swap_zeroes_the_sizes_it_skips():
     # Column 0 has its first nonzero entry in row 3, so D(1..3) vanish.
     rows = ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0))
-    assert sweep_minors(rows, 1) == [1, 0, 0, 0, -1]
+    assert sweep_minors(rows, ZZ) == [1, 0, 0, 0, -1]
     # No nonzero entry below: every remaining minor is the ring's zero.
     z = UniPoly()
     rows = ((UniPoly((1,)), z, z), (z, z, z), (z, z, UniPoly((2,))))
-    assert sweep_minors(rows, UniPoly((1,))) == [1, UniPoly((1,)), z, z]
+    assert sweep_minors(rows, ZZ_T) == [1, UniPoly((1,)), z, z]
     # Hankel twins: leading zeros are a degree gap of the chain, and a
     # zero remainder ends it.
     assert leading_minors(INTEGER_RING, (0, 0, 0, 1, 0, 0, 0)) == [1, 0, 0, 0, 1]
@@ -372,7 +376,7 @@ def test_sweep_costs_one_elimination(monkeypatch):
     # The chain's work is pinned exactly, so a change that keeps every
     # minor but keeps a wider remainder or takes more steps fails here; a
     # change that lowers the work updates these pins.
-    real_prem, real_div = hankel._pseudo_remainder, hankel.exact_div
+    real_prem = hankel._pseudo_remainder
     work = [0, 0, 0]
 
     def counting_prem(*args):
@@ -381,16 +385,19 @@ def test_sweep_costs_one_elimination(monkeypatch):
         work[1] += len(r)
         return r
 
-    def counting_div(a, b):
-        work[2] += 1
-        return real_div(a, b)
-
     monkeypatch.setattr(hankel, "_pseudo_remainder", counting_prem)
-    monkeypatch.setattr(hankel, "exact_div", counting_div)
     for (kind, k, shift, top), expected in CHAIN_WORK.items():
+        family = Family(kind, k)
+
+        def counting_div(a, b, div=family.ring.div):
+            work[2] += 1
+            return div(a, b)
+
         work[:] = [0, 0, 0]
-        family_dets(Family(kind, k), shift, top)
+        seq = hankel_matrix(family.ring, family.value, shift, top).seq
+        minors = leading_minors(family.ring._replace(div=counting_div), seq)
         assert tuple(work) == expected, (kind, k, shift, top)
+        assert minors == family_dets(family, shift, top)
     assert family_dets(Family("catalan-conv", 4), -2, 40)[:6] == [1, 0, 0, -1, -1, 2]
 
 

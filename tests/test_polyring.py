@@ -4,9 +4,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from catalan_hankel import ExactDivisionError, INTEGER_RING, Series, T, UniPoly, binomial, exact_div
+from catalan_hankel import (
+    INTEGER_RING, POLY_RING, ExactDivisionError, Series, T, UniPoly, binomial,
+)
+from catalan_hankel.report import encode_value
 
-from oracles import dadd, dmul, dpoly, dpoly_to_tuple, pascal_binomial
+from oracles import dadd, ddiv, dmul, dneg, dpoly, dpoly_to_tuple, pascal_binomial
 
 
 # Fixed-seed examples and no example database, so tier-1 replays exactly.
@@ -56,15 +59,18 @@ def test_int_interop():
 def test_exact_div_examples():
     num = (1 + T) * (1 + T) * (1 - T)
     assert num.exact_div(1 + T) == (1 + T) * (1 - T)
-    assert exact_div(UniPoly((0, 0, 2)), UniPoly((0, 2))) == T
-    assert exact_div(UniPoly((4, 2)), 2) == 2 + T
+    assert POLY_RING.div(UniPoly((0, 0, 2)), UniPoly((0, 2))) == T
+    assert POLY_RING.div(UniPoly((4, 2)), 2) == 2 + T
 
 
 @PROPERTY
 @given(polys, polys.filter(bool))
 def test_exact_div_round_trip(a, b):
     assert (a * b).exact_div(b) == a
-    assert exact_div(a * b, b) == a
+    assert POLY_RING.div(a * b, b) == a
+    # the oracles' own division, on the dict oracle's product
+    da, db = dpoly(a.coeffs), dpoly(b.coeffs)
+    assert ddiv(dmul(da, db), db) == da
 
 
 @PROPERTY
@@ -83,15 +89,12 @@ def test_ring_axioms(a, b, c, n):
 @PROPERTY
 @given(polys, polys, st.integers(-50, 50))
 def test_sub_and_int_operands_match_dict_oracle(a, b, n):
-    def neg(d):
-        return {e: -c for e, c in d.items()}
-
     da, db = dpoly(a.coeffs), dpoly(b.coeffs)
-    assert (a - b).coeffs == dpoly_to_tuple(dadd(da, neg(db)))
+    assert (a - b).coeffs == dpoly_to_tuple(dadd(da, dneg(db)))
     for m in (n, 0):
         dm = dpoly((m,))
-        assert (a - m).coeffs == dpoly_to_tuple(dadd(da, neg(dm)))
-        assert (m - a).coeffs == dpoly_to_tuple(dadd(dm, neg(da)))
+        assert (a - m).coeffs == dpoly_to_tuple(dadd(da, dneg(dm)))
+        assert (m - a).coeffs == dpoly_to_tuple(dadd(dm, dneg(da)))
         assert (m + a).coeffs == dpoly_to_tuple(dadd(dm, da))
         assert (a == m) == (a.coeffs == dpoly_to_tuple(dm))
 
@@ -109,7 +112,7 @@ def test_exact_div_rejects_every_remainder(a, b, r):
         num.exact_div(b)
     assert str(err.value) == message
     with pytest.raises(ExactDivisionError) as err:
-        exact_div(num, b)
+        POLY_RING.div(num, b)
     assert str(err.value) == message
 
 
@@ -131,16 +134,24 @@ def test_exact_div_failures():
         UniPoly((3,)).exact_div(UniPoly((2,)))
     with pytest.raises(ZeroDivisionError):
         UniPoly((1,)).exact_div(UniPoly())
-    with pytest.raises(ExactDivisionError):
-        exact_div(7, 2)
+    with pytest.raises(ExactDivisionError) as err:
+        INTEGER_RING.div(7, 2)
+    assert str(err.value) == "7 is not divisible by 2"
     with pytest.raises(ZeroDivisionError):
-        exact_div(7, 0)
-    # the dividend picks the ring: an int is not promoted to Z[t] here,
-    # not even to be divided by the zero polynomial
+        INTEGER_RING.div(7, 0)
+    # Z's division takes no polynomial, not even the zero polynomial
     for b in (UniPoly((2,)), UniPoly()):
         with pytest.raises(TypeError):
-            exact_div(6, b)
-    assert exact_div(-6, 3) == -2
+            INTEGER_RING.div(6, b)
+    assert INTEGER_RING.div(-6, 3) == -2
+
+
+def test_monomial_reads_a_bool_as_its_int():
+    p = UniPoly.monomial(2, True)
+    assert p.coeffs == (0, 0, 1) and type(p.coeffs[-1]) is int
+    assert encode_value(p) == [0, 0, 1]
+    assert UniPoly.monomial(3, False) == UniPoly()
+    assert UniPoly.monomial(1, -2).coeffs == (0, -2)
 
 
 def test_evaluation():
@@ -175,8 +186,9 @@ def test_immutability():
     with pytest.raises(AttributeError):
         p.coeffs = (3,)
 
-    # the ring descriptors are plain tuples (name, zero, one)
-    assert INTEGER_RING == ("ZZ", 0, 1) and tuple(INTEGER_RING) == ("ZZ", 0, 1)
-    for field in ("name", "zero", "one"):
+    # the ring descriptors are plain tuples (name, zero, one, div)
+    assert INTEGER_RING._fields == ("name", "zero", "one", "div")
+    assert INTEGER_RING == ("ZZ", 0, 1, INTEGER_RING.div)
+    for field in INTEGER_RING._fields:
         with pytest.raises(AttributeError):
             setattr(INTEGER_RING, field, 2)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import signal
 import sys
 
@@ -20,7 +19,7 @@ from .families import CATALAN_CONV, FAMILY_KINDS, NARAYANA_CONV, Family
 from .hankel import hankel_matrix, leading_minors
 from .paths import enumerate_paths, path_weight_sum_table
 from .polyring import INTEGER_RING, UniPoly
-from .report import encode_value
+from .report import dumps
 from .verify import DEFAULT_SEED, SUITE_ORDER, run_suite
 
 FORMATS = ("plain", "csv", "json")
@@ -49,26 +48,18 @@ def _check_limits(group: str, **values: int) -> None:
             raise ValueError(f"{option} {value} is over the {group} limit {limit}")
 
 
-_JSON = json.JSONEncoder(separators=(",", ":"))
-
-
-def _print_json(obj) -> None:
-    """Print an already-encoded JSON object as one compact line."""
-    print(_JSON.encode(obj))
-
-
 def _emit(records, fmt: str, plain) -> None:
     """Print each record (a dict of raw values) before the next is computed:
     as a JSON object, as a csv row of JSON cells under an ``n,value`` header
     (``seq`` and ``hankel`` records only), or as the line ``plain(record)``."""
     if fmt == "json":
         for r in records:
-            _print_json({key: encode_value(v) for key, v in r.items()})
+            print(dumps(r))
     elif fmt == "csv":
         fields = ("n", "value")
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(fields)
-        writer.writerows([_JSON.encode(encode_value(r[f])) for f in fields] for r in records)
+        writer.writerows([dumps(r[f]) for f in fields] for r in records)
     else:
         for r in records:
             print(plain(r))
@@ -132,7 +123,7 @@ def _cmd_hankel(args) -> int:
     m = hankel_matrix(ring, value, args.shift, sizes[-1])
     if args.matrix:
         rows = [m.seq[i : i + m.n] for i in range(m.n)]
-        _print_json({"n": m.n, "rows": encode_value(rows)})
+        print(dumps({"n": m.n, "rows": rows}))
         return 0
     # The sizes are one contiguous range, read from one sweep of the largest.
     minors = leading_minors(ring, m.seq)
@@ -145,7 +136,7 @@ def _cmd_verify(args) -> int:
     total = failed = 0
     for name in SUITE_ORDER if args.suite == "all" else (args.suite,):
         for r in run_suite(name, seed=args.seed):
-            _print_json(r.to_json())
+            print(r.to_json())
             total += 1
             failed += not r.ok
     print(

@@ -2,25 +2,32 @@
 
 A report is built from the check id, the parameters that reproduce the case
 and both exact sides, and decides its own pass/fail status by ``==``.
-Serialization is NDJSON-friendly: ``to_json`` yields one flat dict per report.
+``dumps`` is the package's one JSON encoder: ``to_json`` and the CLI write
+every JSON line and csv cell with it.
 """
 
 from __future__ import annotations
+
+import json
 
 from .polyring import UniPoly
 from .series import Series
 
 
-def encode_value(v):
-    """JSON-encodable form: UniPoly as its coefficient list, Series as
-    {order, coeffs}, containers element-wise."""
+def _plain(v):
+    """The JSON form of a value ``json`` has none for: a UniPoly as its coefficient
+    list, each through ``int`` (a bool reads as 0 or 1), a Series as {order, coeffs}."""
     if isinstance(v, UniPoly):
-        return list(v.coeffs)
+        return [*map(int, v.coeffs)]
     if isinstance(v, Series):
-        return {"order": v.order, "coeffs": encode_value(v.coeffs)}
-    if isinstance(v, (list, tuple)):
-        return [encode_value(e) for e in v]
-    return v
+        return {"order": v.order, "coeffs": v.coeffs}
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+#: One compact JSON line of ints, UniPolys and Series in lists, tuples and dicts.
+#: An int over Python's int-to-str digit limit (4300 digits since 3.10.7)
+#: raises ValueError unless the caller lifts the limit, as ``cli.main`` does.
+dumps = json.JSONEncoder(separators=(",", ":"), default=_plain).encode
 
 
 def render_value(v) -> str:
@@ -53,14 +60,15 @@ class CheckReport:
     def status(self) -> str:
         return "pass" if self.ok else "fail"
 
-    def to_json(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        """The report as one compact JSON line (see ``dumps``)."""
+        return dumps({
             "check": self.check,
-            "params": {k: encode_value(v) for k, v in self.params.items()},
+            "params": self.params,
             "status": self.status,
-            "lhs": encode_value(self.lhs),
-            "rhs": encode_value(self.rhs),
-        }
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+        })
 
     def __str__(self) -> str:
         ps = ", ".join(f"{k}={v}" for k, v in self.params.items())

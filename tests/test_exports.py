@@ -48,8 +48,8 @@ def test_root_exports_the_chain_entry():
 
 
 # Names whose callers now use str(p), a ring's div, catalan_conv(1, n),
-# narayana_conv(1, n), len(reports) with all(r.ok for r in reports), and
-# CheckReport(check, params, lhs, rhs).
+# narayana_conv(1, n), len(reports) with all(r.ok for r in reports),
+# CheckReport(check, params, lhs, rhs) and report.dumps.
 REMOVED_ALIASES = [
     ("polyring", "render" + "_poly"),
     ("polyring", "exact_div"),
@@ -57,6 +57,7 @@ REMOVED_ALIASES = [
     ("families", "nara" + "yana"),
     ("report", "summ" + "arize"),
     ("report", "equal" + "_report"),
+    ("report", "encode" + "_value"),
 ]
 
 

@@ -1,7 +1,9 @@
+import json
+
 import pytest
 
 from catalan_hankel import CheckReport, Series, INTEGER_RING, POLY_RING, UniPoly
-from catalan_hankel.report import encode_value, render_value
+from catalan_hankel.report import dumps, render_value
 
 
 def test_report_decides():
@@ -30,24 +32,33 @@ def test_report_compares_series_at_the_smaller_order():
 
 def test_report_json_shape():
     r = CheckReport("demo", {"k": 2}, UniPoly((1, -1)), UniPoly((1, -1)))
-    assert r.to_json() == {
+    line = r.to_json()
+    assert json.loads(line) == {
         "check": "demo",
         "params": {"k": 2},
         "status": "pass",
         "lhs": [1, -1],
         "rhs": [1, -1],
     }
+    assert line == '{"check":"demo","params":{"k":2},"status":"pass","lhs":[1,-1],"rhs":[1,-1]}'
 
 
-def test_encode_value_forms():
-    assert encode_value(7) == 7
-    assert encode_value(UniPoly((1, 0, -2))) == [1, 0, -2]
-    assert encode_value([1, UniPoly((2,))]) == [1, [2]]
+def test_dumps_forms():
+    def encoded(v):
+        return json.loads(dumps(v))
+
+    assert encoded(7) == 7
+    assert encoded(UniPoly((1, 0, -2))) == [1, 0, -2]
+    assert encoded([1, UniPoly((2,))]) == [1, [2]]
     s = Series(INTEGER_RING, [1, 2])
-    assert encode_value(s) == {"order": 2, "coeffs": [1, 2]}
+    assert encoded(s) == {"order": 2, "coeffs": [1, 2]}
     p = Series(POLY_RING, [UniPoly((1,)), UniPoly((0, 1))])
-    assert encode_value(p) == {"order": 2, "coeffs": [[1], [0, 1]]}
-    assert encode_value(Series(INTEGER_RING, [])) == {"order": 0, "coeffs": []}
+    assert encoded(p) == {"order": 2, "coeffs": [[1], [0, 1]]}
+    assert encoded(Series(INTEGER_RING, [])) == {"order": 0, "coeffs": []}
+    # UniPoly keeps a bool coefficient as given; str and dumps read it as its int
+    assert str(UniPoly((1, True))) == "1 + t" and dumps(UniPoly((1, True))) == "[1,1]"
+    with pytest.raises(TypeError):
+        dumps(object())
 
 
 def test_render_value_forms():

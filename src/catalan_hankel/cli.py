@@ -87,6 +87,7 @@ def _entries(family: Family, t_eval):
 
 
 def _parse_sizes(text: str) -> range:
+    """``--sizes N`` or ``A..B`` as a range; refuses bad syntax, an empty range, a negative size."""
     lo, dots, hi = text.partition("..")
     try:
         start = int(lo)
@@ -95,6 +96,8 @@ def _parse_sizes(text: str) -> range:
         raise ValueError(f"--sizes {text!r} is not a size N or a range A..B") from None
     if stop < start:
         raise ValueError(f"empty size range {text!r}")
+    if start < 0:
+        raise ValueError("matrix sizes must be >= 0")
     return range(start, stop + 1)
 
 
@@ -113,8 +116,6 @@ def _cmd_hankel(args) -> int:
     family = Family(args.family, args.k)
     sizes = _parse_sizes(args.sizes)
     _check_limits(args.family, k=args.k, shift=args.shift, sizes=sizes[-1])
-    if sizes[0] < 0:
-        raise ValueError("matrix sizes must be >= 0")
     if args.matrix and len(sizes) != 1:
         raise ValueError("--matrix wants exactly one size")
     if args.matrix and args.format == "csv":

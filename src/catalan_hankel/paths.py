@@ -11,7 +11,7 @@ Enumeration is one depth-first walk that yields each path with its weight
 as it is found.  Its cost grows exponentially with the length, and the
 library sets no bound: the CLI's limit table bounds ``paths --list``.  The
 table form of the weight sum is read from the closed form of
-``narayana_conv``.
+``narayana_conv``.  Both forms ask ``_reachable`` which ends have a path.
 """
 
 from __future__ import annotations
@@ -29,22 +29,22 @@ def enumerate_paths(length: int, height: int) -> Iterator[tuple[tuple[int, ...],
     the number of down steps that land at odd height, so the path weighs
     t^odd_downs.  Paths come in lexicographic order of their steps, up
     before down.  The arguments are checked here, at the call, not at the
-    first ``next``.
+    first ``next``; an end no path reaches gives an empty iterator.
     """
-    _check_path_args(length, height)
-    return _walk(length, height)
+    return _walk(length, height) if _reachable(length, height) else iter(())
 
 
-def _check_path_args(length: int, height: int) -> None:
+def _reachable(length: int, height: int) -> bool:
+    """Whether some path of the given length ends at the given height;
+    negative arguments raise ValueError."""
     if length < 0:
         raise ValueError(f"path length {length} must be >= 0")
     if height < 0:
         raise ValueError(f"end height {height} must be >= 0")
+    return height <= length and (length - height) % 2 == 0
 
 
 def _walk(length: int, height: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    if height > length or (length - height) % 2:
-        return
     if length == 0:
         yield (), 0
         return
@@ -93,8 +93,7 @@ def path_weight_sum_table(length: int, height: int) -> UniPoly:
     read from its closed form.  Independent of the enumeration above, which
     is what makes the agreement test meaningful.
     """
-    _check_path_args(length, height)
-    if height > length or (length - height) % 2:
+    if not _reachable(length, height):
         return UniPoly()
     return narayana_conv(height + 1, (length - height) // 2)
 

@@ -32,7 +32,7 @@ from .families import (
     narayana_series,
     narayana_series_weighted,
 )
-from .hankel import det_fraction_free, family_dets, hankel_matrix
+from .hankel import det_fraction_free, family_dets, hankel_matrix, leading_minors
 from .paths import path_weight_sum, path_weight_sum_table
 from .report import CheckReport
 
@@ -55,23 +55,20 @@ def check_reciprocal_duality(
     The coefficient list is read as the complete support of the series;
     both determinants only consult indices up to 2*size + shift, so callers
     wanting a specific series must supply at least that many coefficients.
+    An empty list reads as constant 0 and gets the reciprocal's error.
     """
-    if not s_coeffs:
-        raise ValueError("need at least the constant coefficient")
     if shift < 0:
         raise ValueError(f"shift M={shift} must be >= 0")
     if size < 1:
         raise ValueError(f"size N={size} must be >= 1")
     ring = POLY_RING if any(isinstance(c, UniPoly) for c in s_coeffs) else INTEGER_RING
-    coeffs = [ring.coerce(c) for c in s_coeffs]
-
     order = 2 * size + shift + 1
-    s = Series.from_polynomial(ring, coeffs, max(order, len(coeffs)))
+    s = Series.from_polynomial(ring, s_coeffs, max(order, len(s_coeffs)))
     recip = s.reciprocal()
     lhs = det_fraction_free(hankel_matrix(ring, s.coefficient, -shift, size + shift + 1))
     rhs_det = det_fraction_free(hankel_matrix(ring, recip.coefficient, shift + 2, size))
     rhs = _sign(size + binomial(shift + 1, 2)) * rhs_det
-    params = {"shift": shift, "size": size, "s": list(coeffs)}
+    params = {"shift": shift, "size": size, "s": list(s.coeffs[: len(s_coeffs)])}
     if extra:
         params = {**extra, **params}
     return CheckReport("duality", params, lhs, rhs)
@@ -148,12 +145,13 @@ def check_shift_theorem(name: str, k: int, m: int, n_max: int) -> list[CheckRepo
     sign = _sign(binomial(top + 1, 2))
     zero = family.ring.zero
     reports = []
-    back_dets = family_dets(family, back, max(top, n_max + offset))
-    first_row = [family.value(back + j) for j in range(top)]
+    matrix = hankel_matrix(family.ring, family.value, back, max(top, n_max + offset))
+    back_dets = leading_minors(matrix.ring, matrix.seq)
+    first_row = list(matrix.seq[:top])
     for N in range(1, top + 1):
         params = {"k": k, "m": m, "N": N}
-        # All-zero first row is strictly stronger than a vanishing
-        # determinant, so both are asserted separately.
+        # An all-zero first row of the swept matrix is strictly stronger
+        # than a vanishing minor, so both are asserted separately.
         reports += [
             CheckReport(name + "/zero-row", params, first_row[:N], [zero] * N),
             CheckReport(name + "/vanishing", params, back_dets[N], zero),

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catalan_hankel import (
-    ExactDivisionError, TruncationError, UniPoly, cli, families, hankel, verify,
+    CheckReport, ExactDivisionError, TruncationError, UniPoly, cli, families, hankel, verify,
 )
 from catalan_hankel.cli import main
 
@@ -353,18 +353,24 @@ def test_hankel_t_eval_does_no_z_t_arithmetic(capsys, monkeypatch):
 )
 @pytest.mark.parametrize("fmt", ["plain", "json"])
 def test_hankel_prints_values_past_the_int_str_limit(capsys, fmt):
-    limit = sys.get_int_max_str_digits()
-    code, out, err = run_cli(
-        capsys, "hankel", "--k", "1", "--shift", "7200", "--sizes", "1", "--format", fmt
-    )
-    assert (code, err) == (0, "")
-    assert sys.get_int_max_str_digits() == limit  # the process-wide limit is restored
-    sys.set_int_max_str_digits(0)
+    # A known limit before the call, so a run that never restored it (and
+    # left 0 behind for every later call) cannot pass; the caller's limit
+    # comes back whatever happens.
+    caller = sys.get_int_max_str_digits()
+    limit = sys.int_info.default_max_str_digits
     try:
+        sys.set_int_max_str_digits(limit)
+        code, out, err = run_cli(
+            capsys, "hankel", "--k", "1", "--shift", "7200", "--sizes", "1", "--format", fmt
+        )
+        restored = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
         digits = str(comb(14400, 7200) // 7201)  # catalan_conv(1, 7200)
     finally:
-        sys.set_int_max_str_digits(limit)
-    assert len(digits) > 4300
+        sys.set_int_max_str_digits(caller)
+    assert (code, err) == (0, "")
+    assert restored == limit  # the process-wide limit is restored
+    assert len(digits) > limit
     assert out == (f"1: {digits}\n" if fmt == "plain" else f'{{"n":1,"value":{digits}}}\n')
 
 
@@ -574,13 +580,18 @@ def test_hankel_matrix_refuses_csv(capsys, monkeypatch):
 
 
 def test_hankel_bad_range(capsys):
-    for sizes, message in (
-        ("5..2", "empty size range '5..2'"),
-        ("3..", "--sizes '3..' is not a size N or a range A..B"),
-        ("abc", "--sizes 'abc' is not a size N or a range A..B"),
+    # --sizes refuses its syntax, then an empty range, then a negative size,
+    # all before any limit: -1..300 is refused for -1, not for 300.
+    for argv, message in (
+        (("--sizes", "5..2"), "empty size range '5..2'"),
+        (("--sizes", "3.."), "--sizes '3..' is not a size N or a range A..B"),
+        (("--sizes", "abc"), "--sizes 'abc' is not a size N or a range A..B"),
+        (("--sizes", "-2"), "matrix sizes must be >= 0"),
+        (("--sizes=-1..300",), "matrix sizes must be >= 0"),
+        (("--sizes", "0..3", "--matrix"), "--matrix wants exactly one size"),
     ):
         code, out, err = run_cli(
-            capsys, "hankel", "--family", "catalan-conv", "--k", "1", "--sizes", sizes,
+            capsys, "hankel", "--family", "catalan-conv", "--k", "1", *argv,
         )
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -591,7 +602,18 @@ def test_verify_suite_pass(capsys):
     reports = [json.loads(line) for line in out.splitlines()]
     assert reports and all(r["status"] == "pass" for r in reports)
     assert {"check", "params", "status", "lhs", "rhs"} == set(reports[0])
-    assert "0 failed" in err
+    assert err == "thm4: 48 checks, 48 passed, 0 failed\n"
+
+
+def test_verify_failure_exits_one(capsys, monkeypatch):
+    # exit 1 means a failed check: every report is still printed, and the
+    # summary counts both
+    reports = [CheckReport("fails", {"i": 0}, 1, 2), CheckReport("passes", {"i": 1}, 3, 3)]
+    monkeypatch.setitem(verify.SUITES, "thm1", lambda seed: reports)
+    code, out, err = run_cli(capsys, "verify", "--suite", "thm1")
+    assert code == 1
+    assert out.splitlines() == [r.to_json() for r in reports]
+    assert err == "thm1: 2 checks, 1 passed, 1 failed\n"
 
 
 def test_verify_all_passes(capsys):
@@ -794,6 +816,7 @@ def test_cli_import_loads_no_typing_or_dataclasses():
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        encoding="utf-8",
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 

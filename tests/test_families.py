@@ -150,6 +150,8 @@ def test_narayana_conv_printed_third_power():
     ]
     assert [narayana_conv(3, n).coeffs for n in range(5)] == expected
     assert narayana_conv(3, -1) == UniPoly()
+    with pytest.raises(ValueError):
+        narayana_conv(0, 3)
 
 
 def test_first_mixed_power_coefficient():
@@ -186,6 +188,8 @@ def test_companion_poly_t_degree_and_collapse():
         assert ht.order == (k + 1) // 2 + 1
         collapsed = UniPoly([p(1) for p in ht.coeffs])
         assert collapsed == companion_poly(k)
+    with pytest.raises(ValueError):
+        companion_poly_t(0)
 
 
 def test_family_descriptor():

@@ -124,6 +124,10 @@ def test_foreign_operands():
         p - s
     assert (UniPoly((1,)) == 1.0) is False
     assert (UniPoly((1,)) != 1.0) is True
+    with pytest.raises(TypeError):
+        UniPoly((1,)) * 1.5
+    with pytest.raises(TypeError):
+        UniPoly((1,)).exact_div("x")
 
 def test_exact_div_failures():
     with pytest.raises(ExactDivisionError):
@@ -152,6 +156,9 @@ def test_monomial_reads_a_bool_as_its_int():
     assert dumps(p) == "[0,0,1]"
     assert UniPoly.monomial(3, False) == UniPoly()
     assert UniPoly.monomial(1, -2).coeffs == (0, -2)
+    assert UniPoly.monomial(0, 5).coeffs == (5,) and UniPoly.monomial(2) == T * T
+    with pytest.raises(ValueError):
+        UniPoly.monomial(-1)
 
 
 def test_evaluation():

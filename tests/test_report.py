@@ -28,6 +28,10 @@ def test_report_compares_series_at_the_smaller_order():
     assert r.ok and r.lhs == r.rhs == short
     assert r.lhs.order == r.rhs.order == 2
     assert not CheckReport("demo", {}, long, Series(INTEGER_RING, [1, 3])).ok
+    r = CheckReport("demo", {}, short, long)  # the longer series on the right
+    assert r.ok and r.lhs.order == r.rhs.order == 2
+    # a series against a non-series is compared as it is, and differs
+    assert not CheckReport("demo", {}, short, 1).ok
 
 
 def test_report_json_shape():
@@ -65,6 +69,7 @@ def test_render_value_forms():
     assert render_value(7) == "7"
     assert render_value(UniPoly((1, -3, 1))) == "1 - 3*t + t^2"
     assert render_value([1, 2]) == "[1, 2]"
+    assert render_value([UniPoly((1, 1)), UniPoly((0, -1))]) == "[1 + t, -t]"
     s = Series(INTEGER_RING, [1, 2])
     assert render_value(s) == "[1, 2] + O(x^2)"
 

@@ -33,6 +33,18 @@ def test_from_polynomial_pads():
     assert s.coeffs == (1, 2, 0, 0, 0)
     p = Series.from_polynomial(POLY_RING, [1, UniPoly((0, 1))], 3)
     assert p.coeffs == (UniPoly((1,)), UniPoly((0, 1)), UniPoly())
+    with pytest.raises(ValueError):
+        Series.from_polynomial(INTEGER_RING, [1, 2], -1)
+
+
+def test_equality_repr_and_immutability():
+    s = Series(INTEGER_RING, [1, 2])
+    assert (s == 3) is False and (s != 3) is True
+    assert repr(s) == "Series(ZZ, order=2, [1, 2])"
+    assert repr(Series(POLY_RING, [1])) == "Series(ZZ[t], order=1, [UniPoly((1,))])"
+    with pytest.raises(AttributeError):
+        s.coeffs = (5,)
+    assert s.coeffs == (1, 2)
 
 
 def test_binary_ops_truncate_to_min_order():
@@ -65,6 +77,9 @@ def test_scalar_broadcast():
     assert (a + 1).coeffs == (2, 2, 3)
     assert (1 + a).coeffs == (2, 2, 3)
     assert (a * 2).coeffs == (2, 4, 6)
+    # a series of order 0 knows no constant term to add a scalar to
+    empty = Series(INTEGER_RING, [])
+    assert (empty + 1).order == (1 + empty).order == 0
     t = UniPoly((0, 1))
     p = Series(POLY_RING, [1, t])
     assert (p * t).coeffs == (t, UniPoly((0, 0, 1)))
@@ -77,6 +92,11 @@ def test_mixed_ring_rejected():
         a + b
     with pytest.raises(TypeError):
         a * b
+    # with Z[t] on the left no coercion refuses the Z operand first
+    with pytest.raises(TypeError):
+        b + a
+    with pytest.raises(TypeError):
+        b * a
     with pytest.raises(TypeError):
         Series(INTEGER_RING, [UniPoly((1,))])
     # a bool is read as its int
@@ -111,6 +131,7 @@ def test_shift_gains_order():
     assert shifted.coeffs == (0, 0, 1, 2)
     with pytest.raises(ValueError):
         s.shift(-1)
+    assert s.shift(0) == s
 
 
 def test_truncated_and_zero_extended():

@@ -53,7 +53,7 @@ def test_tracer_installs_and_sees_the_layers():
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT],
         env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, encoding="utf-8", timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     sweep, lemma, prop1, full, seq, listing, det = json.loads(proc.stdout)

@@ -40,7 +40,8 @@ def test_duality_trivial_series():
 
 
 def test_duality_validation():
-    with pytest.raises(ValueError):
+    # an empty list reads as constant 0, refused by the reciprocal
+    with pytest.raises(ValueError, match="reciprocal requires constant coefficient 1"):
         check_reciprocal_duality([], 0, 1)
     with pytest.raises(ValueError):
         check_reciprocal_duality([2, 1], 0, 1)
@@ -105,8 +106,9 @@ def test_odd_poly_theorem_rejects_m_zero():
 def test_theorem_validation():
     with pytest.raises(ValueError):
         check_shift_theorem("even-conv", 0, 1, n_max=6)
-    with pytest.raises(ValueError):
-        check_shift_theorem("odd-conv", 1, -1, n_max=6)
+    for name in ("even-conv", "odd-conv", "even-conv-t", "odd-conv-t"):
+        with pytest.raises(ValueError, match="m >= 0"):
+            check_shift_theorem(name, 1, -1, n_max=4)
     with pytest.raises(ValueError, match="even-conv, odd-conv, even-conv-t, odd-conv-t"):
         check_shift_theorem("nope", 1, 1, 1)
 
@@ -196,6 +198,10 @@ def test_series_identities_pass():
     assert_all_pass(reports)
     with pytest.raises(ValueError):
         check_series_identities(order=2, k_max=6, seed=DEFAULT_SEED)
+    # 4 is the smallest accepted order
+    assert_all_pass(check_series_identities(order=4, k_max=1, seed=DEFAULT_SEED))
+    with pytest.raises(ValueError):
+        check_series_identities(order=3, k_max=1, seed=DEFAULT_SEED)
 
 
 def test_companion_table_is_exact():

@@ -14,7 +14,6 @@ from .polyring import (
     ExactDivisionError,
     T,
     UniPoly,
-    binomial,
 )
 from .series import Series, TruncationError
 from .families import (
@@ -46,7 +45,6 @@ __all__ = [
     "T",
     "TruncationError",
     "UniPoly",
-    "binomial",
     "catalan_conv",
     "catalan_series",
     "check_reciprocal_duality",

@@ -39,7 +39,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb
 
-from .polyring import INTEGER_RING, POLY_RING, T, UniPoly, _Ring, binomial
+from .polyring import INTEGER_RING, POLY_RING, T, UniPoly, _Ring
 from .series import Series
 
 
@@ -95,10 +95,11 @@ def narayana_conv(k: int, n: int) -> UniPoly:
     if n == 0:
         return UniPoly((1,))
     a, b = (k + 1) // 2, k // 2
+    # C(n+a-1, n-1-i) and C(n+b-1, i-1) by symmetry: no lower index is negative.
     return UniPoly(
         [
-            (a * binomial(n + b, i) * binomial(n + a - 1, n - 1 - i)
-             + b * binomial(n + a, n - i) * binomial(n + b - 1, i - 1)) // n
+            (a * comb(n + b, i) * comb(n + a - 1, a + i)
+             + b * comb(n + a, n - i) * comb(n + b - 1, n + b - i)) // n
             for i in range(n + 1)
         ]
     )

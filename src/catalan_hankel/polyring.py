@@ -15,24 +15,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
-from math import comb
 
 
 class ExactDivisionError(ArithmeticError):
     """A division that had to be exact left a remainder."""
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient with the convention C(n, k) = 0 for k < 0 or k > n.
-
-    Negative n is rejected: no identity in this package ever needs it, and a
-    silent generalized binomial would hide index bugs.
-    """
-    if n < 0:
-        raise ValueError(f"binomial(n={n}, ...): n must be non-negative")
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
 
 
 class UniPoly:

@@ -15,8 +15,9 @@ from __future__ import annotations
 import functools
 import random
 from collections.abc import Callable, Sequence
+from math import comb
 
-from .polyring import INTEGER_RING, POLY_RING, T, UniPoly, binomial
+from .polyring import INTEGER_RING, POLY_RING, T, UniPoly
 from .series import Series
 from .families import (
     CATALAN_CONV,
@@ -67,7 +68,7 @@ def check_reciprocal_duality(
     recip = s.reciprocal()
     lhs = det_fraction_free(hankel_matrix(ring, s.coefficient, -shift, size + shift + 1))
     rhs_det = det_fraction_free(hankel_matrix(ring, recip.coefficient, shift + 2, size))
-    rhs = _sign(size + binomial(shift + 1, 2)) * rhs_det
+    rhs = _sign(size + comb(shift + 1, 2)) * rhs_det
     params = {"shift": shift, "size": size, "s": list(s.coeffs[: len(s_coeffs)])}
     if extra:
         params = {**extra, **params}
@@ -142,7 +143,7 @@ def check_shift_theorem(name: str, k: int, m: int, n_max: int) -> list[CheckRepo
     back = 1 - k - m + odd
     top = m + k - 1 - odd
     offset = top + 1
-    sign = _sign(binomial(top + 1, 2))
+    sign = _sign(comb(top + 1, 2))
     zero = family.ring.zero
     reports = []
     matrix = hankel_matrix(family.ring, family.value, back, max(top, n_max + offset))
@@ -201,7 +202,7 @@ def even_support_rows(k: int, size_max: int) -> list[tuple]:
     sweep = (Family(CATALAN_CONV, 2 * k), 1 - k)
     return [
         ("even-conv/support", {"k": k, "N": N}, sweep, N,
-         0 if N % k else _sign(N // k * binomial(k, 2)))
+         0 if N % k else _sign(N // k * comb(k, 2)))
         for N in range(size_max + 1)
     ]
 
@@ -221,7 +222,7 @@ def odd_support_rows(k: int, size_max: int) -> list[tuple]:
         q, r = divmod(N, 2 * k + 1)
         for shift, second in ((-k, k + 1), (1 - k, k)):
             params = {"k": k, "shift": shift, "N": N}
-            expected = _sign(k * q + binomial(r, 2)) if r in (0, second) else 0
+            expected = _sign(k * q + comb(r, 2)) if r in (0, second) else 0
             rows.append(("odd-conv/support", params, (family, shift), N, expected))
     return rows
 
@@ -233,7 +234,7 @@ def even_support_t_rows(k: int, mult_max: int) -> list[tuple]:
     check = "even-conv-t/support"
     support = [
         (check, {"k": k, "n": n, "N": k * n}, sweep, k * n,
-         UniPoly.monomial(k * k * binomial(n, 2), _sign(n * binomial(k, 2))))
+         UniPoly.monomial(k * k * comb(n, 2), _sign(n * comb(k, 2))))
         for n in range(mult_max + 1)
     ]
     return support + [
@@ -247,7 +248,7 @@ def narayana_unit_rows(size_max: int) -> list[tuple]:
     """Narayana Hankel determinants at shifts 0 and 1 equal t^binom(n,2)."""
     return [
         ("narayana-hankel/power", {"shift": shift, "n": n},
-         (Family(NARAYANA_CONV, 1), shift), n, UniPoly.monomial(binomial(n, 2)))
+         (Family(NARAYANA_CONV, 1), shift), n, UniPoly.monomial(comb(n, 2)))
         for shift in (0, 1)
         for n in range(size_max + 1)
     ]
@@ -272,10 +273,10 @@ def cubic_rows(size_max: int) -> list[tuple]:
     sweep = (Family(NARAYANA_CONV, 3), 0)
     rows = []
     for N in range(size_max + 1):
-        top = binomial(N, 2)
+        top = comb(N, 2)
         coeffs = [0] * (top + 1)
         for j in range(N // 2 + 1):
-            coeffs[top - j] += _sign(j) * binomial(N - j, j)
+            coeffs[top - j] += _sign(j) * comb(N - j, j)
         rows.append(("closed-form/cubic", {"N": N}, sweep, N, UniPoly(coeffs)))
     return rows
 

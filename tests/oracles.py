@@ -1,15 +1,15 @@
 """Independent reference implementations used to freeze expected values.
 
 Deliberately naive and structurally different from the package code:
-Pascal's triangle instead of factorial formulas, dict-based polynomial
-arithmetic, cofactor expansion instead of elimination, elimination of any
-square matrix instead of a subresultant chain on a Hankel sequence, a fresh
-elimination per matrix size instead of one sweep, list convolution and the
-path additions of the Prop 1 ballot recurrence instead of closed forms,
-Dyck-path peak counting for the Narayana refinement, and per-path heights
-and weights read off a step tuple instead of tallied during the walk.  The
-determinant oracles do their own arithmetic: ``//`` over Z and dict
-polynomials over Z[t], never the package's ring operations.
+dict-based polynomial arithmetic, cofactor expansion instead of
+elimination, elimination of any square matrix instead of a subresultant
+chain on a Hankel sequence, a fresh elimination per matrix size instead of
+one sweep, list convolution and the path additions of the Prop 1 ballot
+recurrence instead of closed forms, Dyck-path peak counting for the
+Narayana refinement, and per-path heights and weights read off a step tuple
+instead of tallied during the walk.  The determinant oracles do their own
+arithmetic: ``//`` over Z and dict polynomials over Z[t], never the
+package's ring operations.
 """
 
 import operator
@@ -17,23 +17,6 @@ from collections import namedtuple
 from functools import lru_cache
 
 from catalan_hankel import UniPoly
-
-
-@lru_cache(maxsize=None)
-def _pascal_row(n: int) -> tuple[int, ...]:
-    if n == 0:
-        return (1,)
-    prev = _pascal_row(n - 1)
-    return tuple(
-        (prev[k - 1] if k else 0) + (prev[k] if k < n else 0)
-        for k in range(n + 1)
-    )
-
-
-def pascal_binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return _pascal_row(n)[k]
 
 
 # -- dict polynomials: {exponent: coefficient}, zeros dropped ---------------

@@ -47,12 +47,14 @@ def test_root_exports_the_chain_entry():
         assert getattr(catalan_hankel, name) is getattr(hankel, name)
 
 
-# Names whose callers now use str(p), a ring's div, catalan_conv(1, n),
-# narayana_conv(1, n), len(reports) with all(r.ok for r in reports),
-# CheckReport(check, params, lhs, rhs) and report.dumps.
+# Names whose callers now use str(p), a ring's div, math.comb,
+# catalan_conv(1, n), narayana_conv(1, n), len(reports) with
+# all(r.ok for r in reports), CheckReport(check, params, lhs, rhs) and
+# report.dumps.
 REMOVED_ALIASES = [
     ("polyring", "render" + "_poly"),
     ("polyring", "exact_div"),
+    ("polyring", "binomial"),
     ("families", "cat" + "alan"),
     ("families", "nara" + "yana"),
     ("report", "summ" + "arize"),

@@ -5,11 +5,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from catalan_hankel import (
-    INTEGER_RING, POLY_RING, ExactDivisionError, Series, T, UniPoly, binomial,
+    INTEGER_RING, POLY_RING, ExactDivisionError, Series, T, UniPoly,
 )
 from catalan_hankel.report import dumps
 
-from oracles import dadd, ddiv, dmul, dneg, dpoly, dpoly_to_tuple, pascal_binomial
+from oracles import dadd, ddiv, dmul, dneg, dpoly, dpoly_to_tuple
 
 
 # Fixed-seed examples and no example database, so tier-1 replays exactly.
@@ -167,17 +167,6 @@ def test_evaluation():
     assert p(1) == -1
     assert p(2) == -1
     assert p(-1) == 5
-
-
-def test_binomial_conventions():
-    assert binomial(6, 3) == 20
-    assert binomial(5, -1) == 0
-    assert binomial(5, 7) == 0
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-    for n in range(12):
-        for k in range(-2, n + 3):
-            assert binomial(n, k) == pascal_binomial(n, k)
 
 
 def test_render():

@@ -31,7 +31,9 @@ Lucas side
     ``companion_poly_t(k)``   its t-refinement; degree floor((k+1)/2) in x.
 
 Everything is exact, and the module keeps no state: callers that read a
-series more than once build it once and hold it.
+series more than once build it once and hold it.  Each series builder
+returns exactly ``order`` coefficients, and ``Series.from_polynomial``
+refuses a negative order for all of them.
 """
 
 from __future__ import annotations
@@ -53,20 +55,18 @@ def catalan_conv(k: int, n: int) -> int:
 
 
 def catalan_series(order: int) -> Series:
-    return Series(INTEGER_RING, [catalan_conv(1, n) for n in range(order)])
+    return Series.from_polynomial(INTEGER_RING, [catalan_conv(1, n) for n in range(order)], order)
 
 
 def narayana_series(order: int) -> Series:
     """c0(x,t): ordinary generating function of the Narayana polynomials."""
-    return Series(POLY_RING, [narayana_conv(1, n) for n in range(order)])
+    return Series.from_polynomial(POLY_RING, [narayana_conv(1, n) for n in range(order)], order)
 
 
 def narayana_series_weighted(order: int) -> Series:
     """c1(x,t) = 1 - t + t*c0(x,t): every positive-index coefficient gains t."""
-    coeffs: list[UniPoly] = [UniPoly((1,))]
-    for n in range(1, order):
-        coeffs.append(T * narayana_conv(1, n))
-    return Series(POLY_RING, coeffs)
+    coeffs = [T * narayana_conv(1, n) if n else 1 for n in range(order)]
+    return Series.from_polynomial(POLY_RING, coeffs, order)
 
 
 def mixed_powers(k_max: int, order: int) -> list[Series]:

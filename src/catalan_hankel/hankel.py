@@ -21,7 +21,6 @@ from collections import namedtuple
 from collections.abc import Callable, Sequence
 
 from .polyring import Scalar, _Ring
-from .families import Family
 
 
 class HankelMatrix(namedtuple("HankelMatrix", "ring seq")):
@@ -140,11 +139,12 @@ def det_fraction_free(m: HankelMatrix) -> Scalar:
     return leading_minors(m.ring, m.seq)[-1]
 
 
-def family_dets(family: Family, shift: int, top: int) -> list[Scalar]:
+def family_dets(family, shift: int, top: int) -> list[Scalar]:
     """Hankel determinants of sizes 0..top of one convolution family, each
     in the family's ring, all read from one chain on the top x top
-    matrix.  Raises ValueError for top < 0; the size N determinant alone
-    is ``family_dets(family, shift, N)[-1]``.
+    matrix.  ``family`` is any record with ``ring`` and ``value``, such as
+    ``families.Family``.  Raises ValueError for top < 0; the size N
+    determinant alone is ``family_dets(family, shift, N)[-1]``.
 
     Entry (i, j) is family.value(i + j + shift); negative indices give zero.
     """

@@ -70,11 +70,7 @@ class Series:
     def __add__(self, other):
         if isinstance(other, Series):
             self._match(other)
-            n = min(len(self.coeffs), len(other.coeffs))
-            return Series(
-                self.ring,
-                tuple(self.coeffs[i] + other.coeffs[i] for i in range(n)),
-            )
+            return Series(self.ring, (a + b for a, b in zip(self.coeffs, other.coeffs)))
         s = self.ring.coerce(other)
         if not self.coeffs:
             return self

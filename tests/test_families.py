@@ -82,6 +82,17 @@ def test_weighted_series_definition():
         assert c1.coefficient(n) == T * c0.coefficient(n)
 
 
+def test_series_builders_have_exactly_order_coefficients():
+    builders = (catalan_series, narayana_series, narayana_series_weighted)
+    for order in range(5):
+        for build in builders:
+            assert build(order).order == order, (build.__name__, order)
+        assert [s.order for s in mixed_powers(3, order)] == [order] * 4
+    for build in (*builders, lambda order: mixed_powers(3, order)):
+        with pytest.raises(ValueError, match="^order must be non-negative$"):
+            build(-1)
+
+
 def test_mixed_power_series_brute_force():
     order = 10
     c0 = list(narayana_series(order).coeffs)

@@ -51,6 +51,9 @@ def test_binary_ops_truncate_to_min_order():
     a = Series(INTEGER_RING, [1, 2, 3, 4])
     b = Series(INTEGER_RING, [1, 1])
     assert (a + b).order == 2
+    assert (a + b).coeffs == (b + a).coeffs == (2, 3)
+    assert (a + a).coeffs == (2, 4, 6, 8)
+    assert (a + Series(INTEGER_RING, [])).order == 0
     assert (a * b).order == 2
     assert (a * b).coeffs == (1, 3)
 

@@ -3,8 +3,9 @@
 Integers are plain Python ``int`` (arbitrary precision).  Polynomials in the
 weight variable t are dense integer-coefficient :class:`UniPoly` values,
 and each of their operators reads an int operand as a constant.
-``INTEGER_RING`` and ``POLY_RING`` describe the two rings (zero, one,
-scalar coercion and ``div``) for the series and matrices built over them.
+``INTEGER_RING`` and ``POLY_RING`` are records (name, zero, one, ``coerce``,
+``div``): Z's ``coerce`` is ``operator.index``, and Z[t]'s keeps a UniPoly
+and makes an index a constant; any other value raises TypeError.
 ``div`` is the exact division of the ring's own elements that the
 fraction-free subresultant chain of the Hankel engine uses: it raises
 :class:`ExactDivisionError` when a remainder survives.  Over Z[t] it is
@@ -13,6 +14,7 @@ fraction-free subresultant chain of the Hankel engine uses: it raises
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from collections.abc import Iterable
 
@@ -169,21 +171,14 @@ Scalar = int | UniPoly
 T = UniPoly((0, 1))
 
 
-class _Ring(namedtuple("_Ring", "name zero one div")):
-    """Coefficient ring descriptor (name, zero, one, div), with coercion."""
+def _poly_coerce(value) -> UniPoly:
+    """A UniPoly stays itself, and an index is a constant of Z[t]."""
+    if isinstance(value, UniPoly):
+        return value
+    return UniPoly((operator.index(value),))
 
-    __slots__ = ()
 
-    def coerce(self, value) -> Scalar:
-        """The value as a scalar of this ring; a bool is its int, and an int
-        is a constant of Z[t]."""
-        if isinstance(value, bool):
-            value = int(value)
-        if isinstance(value, type(self.one)):
-            return value
-        if isinstance(value, int):  # so this ring is Z[t]
-            return UniPoly((value,))
-        raise TypeError(f"{value!r} is not a scalar of {self.name}")
+_Ring = namedtuple("_Ring", "name zero one coerce div")
 
 
 def _int_div(a: int, b: int) -> int:
@@ -193,6 +188,6 @@ def _int_div(a: int, b: int) -> int:
     return q
 
 
-INTEGER_RING = _Ring("ZZ", 0, 1, _int_div)
+INTEGER_RING = _Ring("ZZ", 0, 1, operator.index, _int_div)
 # looks UniPoly.exact_div up per call, so a wrapper on it sees every division
-POLY_RING = _Ring("ZZ[t]", UniPoly(), UniPoly((1,)), lambda a, b: a.exact_div(b))
+POLY_RING = _Ring("ZZ[t]", UniPoly(), UniPoly((1,)), _poly_coerce, lambda a, b: a.exact_div(b))

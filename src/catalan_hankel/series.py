@@ -68,15 +68,10 @@ class Series:
             )
 
     def __add__(self, other):
-        if isinstance(other, Series):
-            self._match(other)
-            return Series(self.ring, (a + b for a, b in zip(self.coeffs, other.coeffs)))
-        s = self.ring.coerce(other)
-        if not self.coeffs:
-            return self
-        out = list(self.coeffs)
-        out[0] = out[0] + s
-        return Series(self.ring, out)
+        if not isinstance(other, Series):  # a scalar is its constant series
+            other = Series(self.ring, [other] + [self.ring.zero] * (self.order - 1))
+        self._match(other)
+        return Series(self.ring, (a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 

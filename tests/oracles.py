@@ -8,8 +8,8 @@ one sweep, list convolution and the path additions of the Prop 1 ballot
 recurrence instead of closed forms, Dyck-path peak counting for the
 Narayana refinement, and per-path heights and weights read off a step tuple
 instead of tallied during the walk.  The determinant oracles do their own
-arithmetic: ``//`` over Z and dict polynomials over Z[t], never the
-package's ring operations.
+arithmetic: ``//`` over Z, dict polynomials over Z[t] and residues mod a
+prime over GF(p), never the package's ring operations.
 """
 
 import operator
@@ -85,6 +85,13 @@ ZZ = Arith(int, int, 1, operator.add, operator.neg, operator.mul, idiv)
 ZZ_T = Arith(
     lambda p: dpoly(p.coeffs), lambda d: UniPoly(dpoly_to_tuple(d)), {0: 1},
     dadd, dneg, dmul, ddiv,
+)
+#: The Mersenne prime 2^61 - 1, and the integers mod it: every value is
+#: kept reduced to 0..P-1, and division multiplies by the inverse.
+P = 2**61 - 1
+GF_P = Arith(
+    lambda v: v % P, int, 1, lambda a, b: (a + b) % P, lambda a: -a % P,
+    lambda a, b: a * b % P, lambda a, b: a * pow(b, -1, P) % P,
 )
 
 

@@ -19,7 +19,7 @@ from catalan_hankel import (
 from catalan_hankel.hankel import HankelMatrix, det_fraction_free, hankel_matrix
 from catalan_hankel.report import dumps
 
-from oracles import ZZ, ZZ_T, cofactor_det, per_size_det, sweep_minors
+from oracles import GF_P, P, ZZ, ZZ_T, cofactor_det, per_size_det, sweep_minors
 
 # Fixed-seed examples and no example database, so tier-1 replays exactly.
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
@@ -361,6 +361,42 @@ def test_hankel_minors_match_every_oracle_int(seq):
 @given(hankel_sequences(POLY_RING, SPARSE_POLY, 5))
 def test_hankel_minors_match_every_oracle_poly(seq):
     assert_minors_match_every_oracle(POLY_RING, seq)
+
+
+def test_leading_minors_over_gf_p_match_the_mod_p_oracle():
+    # A ring is its record: GF(p) swaps in only coerce and div, and the
+    # unchanged chain must agree with the oracle's own elimination mod p.
+    gf = INTEGER_RING._replace(
+        name="GF(2^61-1)", coerce=lambda v: v % P, div=lambda a, b: a * pow(b, -1, P) % P
+    )
+    t0 = random.Random(37).randrange(2, P)
+
+    def entries(kind, k, shift, top):
+        """The sweep's 2 top - 1 entries, a Narayana one evaluated at t0."""
+        value = Family(kind, k).value
+        at = (lambda v: v(t0)) if kind == "narayana-conv" else int
+        return [at(value(n)) for n in range(shift, shift + 2 * top - 1)]
+
+    zeros = []
+    for sweep in (
+        ("catalan-conv", 1000, 0, 40),
+        ("catalan-conv", 12, -15, 60),
+        ("catalan-conv", 3, -1, 60),
+        ("narayana-conv", 6, -2, 30),
+        ("narayana-conv", 5, 0, 16),
+    ):
+        seq = entries(*sweep)
+        minors = [d % P for d in leading_minors(gf, seq)]
+        assert minors == sweep_minors(windows(seq), GF_P), sweep
+        zeros.append(minors.count(0))
+    assert sum(n > 0 for n in zeros) >= 3, zeros
+    # The exact minors, reduced mod p (a Z[t] one at t0), agree as well.
+    exact = family_dets(Family("catalan-conv", 7), 0, 40)
+    seq = entries("catalan-conv", 7, 0, 40)
+    assert [d % P for d in leading_minors(gf, seq)] == [d % P for d in exact]
+    exact = family_dets(Family("narayana-conv", 6), -2, 30)
+    seq = entries("narayana-conv", 6, -2, 30)
+    assert [d % P for d in leading_minors(gf, seq)] == [d(t0) % P for d in exact]
 
 
 def test_swap_zeroes_the_sizes_it_skips():

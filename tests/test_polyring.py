@@ -177,14 +177,36 @@ def test_render():
     assert str(UniPoly((-1, 0, -2))) == "-1 - 2*t^2"
 
 
+def test_ring_coerce_grid():
+    # Z keeps an int and reads a bool as its int
+    for value, expected in ((7, 7), (True, 1), (-3, -3)):
+        c = INTEGER_RING.coerce(value)
+        assert c == expected and type(c) is int
+    # Z[t] keeps a UniPoly itself and makes an index a constant
+    p = UniPoly((1, 2))
+    assert POLY_RING.coerce(p) is p
+    for value, expected in ((3, (3,)), (True, (1,)), (0, ())):
+        c = POLY_RING.coerce(value)
+        assert type(c) is UniPoly and c.coeffs == expected
+        assert all(type(x) is int for x in c.coeffs)
+    for ring in (INTEGER_RING, POLY_RING):
+        for value in (1.5, "3", None):
+            with pytest.raises(TypeError):
+                ring.coerce(value)
+    # a polynomial is not an integer
+    for value in (p, UniPoly((3,)), UniPoly()):
+        with pytest.raises(TypeError):
+            INTEGER_RING.coerce(value)
+
+
 def test_immutability():
     p = UniPoly((1, 2))
     with pytest.raises(AttributeError):
         p.coeffs = (3,)
 
-    # the ring descriptors are plain tuples (name, zero, one, div)
-    assert INTEGER_RING._fields == ("name", "zero", "one", "div")
-    assert INTEGER_RING == ("ZZ", 0, 1, INTEGER_RING.div)
+    # the ring descriptors are plain tuples (name, zero, one, coerce, div)
+    assert INTEGER_RING._fields == ("name", "zero", "one", "coerce", "div")
+    assert INTEGER_RING == ("ZZ", 0, 1, INTEGER_RING.coerce, INTEGER_RING.div)
     for field in INTEGER_RING._fields:
         with pytest.raises(AttributeError):
             setattr(INTEGER_RING, field, 2)

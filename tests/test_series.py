@@ -86,6 +86,24 @@ def test_scalar_broadcast():
     t = UniPoly((0, 1))
     p = Series(POLY_RING, [1, t])
     assert (p * t).coeffs == (t, UniPoly((0, 0, 1)))
+    # a scalar joins a series as its constant series, at every order
+    for ring, scalars in ((INTEGER_RING, (3, True, -2)), (POLY_RING, (3, True, t + 2))):
+        for order in range(4):
+            s = Series(ring, [ring.one + i for i in range(order)])
+            for c in scalars:
+                constant = Series.from_polynomial(ring, [c], s.order)
+                assert s + c == c + s == s + constant
+                assert [type(x) for x in (s + c).coeffs] == [type(ring.one)] * order
+        # a foreign scalar is refused, even by a series with no coefficients
+        for order in (0, 2):
+            s = Series(ring, [ring.one] * order)
+            for c in (1.5, "3"):
+                with pytest.raises(TypeError):
+                    s + c
+                with pytest.raises(TypeError):
+                    c + s
+    with pytest.raises(TypeError):
+        Series(INTEGER_RING, []) + t
 
 
 def test_mixed_ring_rejected():

@@ -2,7 +2,8 @@
 
 Every suite of ``verify.SUITES`` runs here again with larger bounds; each
 case pins the report count and the sha256 of the suite's NDJSON lines
-(``to_json()`` plus a newline each), and every report must pass.  A failing
+(``to_json()`` plus a newline each) and the set of check ids of the
+acceptance suite, and every report must pass.  A failing
 report prints its own line, whose parameters replay it.  The whole module
 takes a few seconds, so it stays outside tier-1's ``testpaths``.
 
@@ -18,6 +19,7 @@ import pytest
 from catalan_hankel.verify import (
     DEFAULT_SEED,
     SUITE_ORDER,
+    SUITES,
     check_corollaries,
     check_series_identities,
     cubic_rows,
@@ -94,7 +96,10 @@ def test_every_suite_has_a_large_case():
 @pytest.mark.parametrize("suite", LARGE)
 def test_suite_at_large_bounds(suite):
     build, count, digest = LARGE[suite]
-    lines = [(r.ok, r.to_json()) for r in build()]
+    reports = build()
+    # the large build runs every check id of the acceptance suite, no more
+    assert {r.check for r in reports} == {r.check for r in SUITES[suite](DEFAULT_SEED)}
+    lines = [(r.ok, r.to_json()) for r in reports]
     failures = [line for ok, line in lines if not ok]
     assert not failures, "\n".join(failures)
     assert len(lines) == count

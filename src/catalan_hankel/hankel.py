@@ -8,8 +8,8 @@ is exact in the coefficient ring, so the algorithm is identical over Z and
 Z[t], and it yields the determinants of every size of a sweep in O(N^2)
 ring operations.  Zero minors show up as degree gaps of the chain.
 
-The chain's one entry is ``leading_minors(ring, seq)``, which checks and
-coerces the sequence, and ``hankel_matrix`` is the CLI's one entry read.
+The chain's one entry, ``leading_minors(ring, seq)``, checks and coerces
+the sequence; every caller reads its entries through ``hankel_matrix``.
 ``HankelMatrix``, ``hankel_matrix`` and ``det_fraction_free`` also stay
 because ``perfbench/tracer.py`` times them by name; the package root
 does not export them.

@@ -69,6 +69,8 @@ class UniPoly:
         b = _operand(other)
         if b is None:
             return NotImplemented
+        if not b:
+            return self
         out = list(self.coeffs)
         out += [0] * (len(b) - len(out))
         for i, c in enumerate(b):

@@ -43,16 +43,12 @@ def render_value(v) -> str:
 class CheckReport:
     """One check of two exact values; ``ok`` is whether they are equal.
 
-    Two series are compared, and reported, at the smaller of their orders:
-    only those coefficients are known on both sides.  Reports compare by
-    identity, and nothing changes one after it is built.
+    The sides are compared and reported exactly as given, so two series
+    are equal only at the same order.  Reports compare by identity, and
+    nothing changes one after it is built.
     """
 
     def __init__(self, check: str, params: dict, lhs, rhs):
-        if isinstance(lhs, Series) and isinstance(rhs, Series):
-            n = min(lhs.order, rhs.order)
-            lhs = Series.from_polynomial(lhs.ring, lhs.coeffs, n)
-            rhs = Series.from_polynomial(rhs.ring, rhs.coeffs, n)
         self.check, self.params, self.lhs, self.rhs = check, params, lhs, rhs
         self.ok = bool(lhs == rhs)
 

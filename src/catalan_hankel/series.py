@@ -19,6 +19,14 @@ class TruncationError(IndexError):
     """A coefficient beyond the known truncation order was requested."""
 
 
+def _dot(a, b, lo: int, m: int, zero):
+    """a[lo]·b[m−lo] + … + a[m]·b[0]: coefficient m of a product, from term lo of a."""
+    acc = zero
+    for i in range(lo, m + 1):
+        acc = acc + a[i] * b[m - i]
+    return acc
+
+
 class Series:
     """Truncation-aware power series with exact coefficients."""
 
@@ -78,15 +86,8 @@ class Series:
     def __mul__(self, other):
         if isinstance(other, Series):
             self._match(other)
-            n = min(len(self.coeffs), len(other.coeffs))
-            a, b = self.coeffs, other.coeffs
-            out = []
-            for m in range(n):
-                acc = self.ring.zero
-                for i in range(m + 1):
-                    acc = acc + a[i] * b[m - i]
-                out.append(acc)
-            return Series(self.ring, out)
+            a, b, zero = self.coeffs, other.coeffs, self.ring.zero
+            return Series(self.ring, (_dot(a, b, 0, m, zero) for m in range(min(len(a), len(b)))))
         s = self.ring.coerce(other)
         return Series(self.ring, tuple(c * s for c in self.coeffs))
 
@@ -101,10 +102,7 @@ class Series:
         inv = [self.ring.one]
         for n in range(1, len(self.coeffs)):
             # t_n = -(a_1 t_{n-1} + ... + a_n t_0), from (sum a x^i)(sum t x^j) = 1
-            acc = self.ring.zero
-            for j in range(1, n + 1):
-                acc = acc + self.coeffs[j] * inv[n - j]
-            inv.append(-acc)
+            inv.append(-_dot(self.coeffs, inv, 1, n, self.ring.zero))
         return Series(self.ring, inv)
 
     def shift(self, k: int) -> "Series":

@@ -312,8 +312,8 @@ def check_series_identities(order: int, k_max: int, seed: int) -> list[CheckRepo
     the interleaving and coefficient recurrences of mixed powers; the
     square-power index shift; the companion reciprocal identity with its
     base case, t = 1 collapse, and both printed tables.  Each identity is a
-    row (report id, params, lhs, rhs); series sides are compared at the
-    smaller of their orders.
+    row (report id, params, lhs, rhs); both series sides are built at
+    ``order``.
     """
     if order < 4:
         raise ValueError("order too small to say anything")
@@ -328,7 +328,7 @@ def check_series_identities(order: int, k_max: int, seed: int) -> list[CheckRepo
 
     xc, inv = c.shift(1), c.reciprocal()
     rows = [
-        ("identity/catalan-quadratic", {}, (c * c).shift(1) + 1, c),
+        ("identity/catalan-quadratic", {}, (c * c).shift(1) + poly(INTEGER_RING, [1]), c),
         ("identity/catalan-reciprocal", {}, xc + inv, poly(INTEGER_RING, [1])),
     ]
     rng = random.Random(seed)
@@ -349,10 +349,11 @@ def check_series_identities(order: int, k_max: int, seed: int) -> list[CheckRepo
         xc_k, inv_k = xc_k * xc, inv_k * inv
         rows.append(("identity/lucas-reciprocal", {"k": k}, xc_k + inv_k,
                      poly(INTEGER_RING, companion_poly(k).coeffs)))
+    one_t = poly(POLY_RING, [1])
     rows += [
         ("identity/narayana-affine", {}, c1, c0 * T + poly(POLY_RING, [1 - T])),
-        ("identity/narayana-quadratic", {"which": "weighted"}, (c0 * c1 * T).shift(1) + 1, c1),
-        ("identity/narayana-quadratic", {"which": "plain"}, (c0 * c1).shift(1) + 1, c0),
+        ("identity/narayana-quadratic", {"which": "weighted"}, (c0 * c1 * T).shift(1) + one_t, c1),
+        ("identity/narayana-quadratic", {"which": "plain"}, (c0 * c1).shift(1) + one_t, c0),
     ]
     for k in ks:
         rows += [

@@ -56,6 +56,13 @@ def test_int_interop():
     assert UniPoly((5,)) == 5
 
 
+def test_zero_operand_returns_self():
+    p = UniPoly((1, 1))
+    assert p + 0 is p and 0 + p is p and p + UniPoly() is p and p - UniPoly() is p
+    # 0 - p reads through __rsub__ and is a new polynomial
+    assert 0 - p == -p == UniPoly((-1, -1))
+
+
 def test_exact_div_examples():
     num = (1 + T) * (1 + T) * (1 - T)
     assert num.exact_div(1 + T) == (1 + T) * (1 - T)

@@ -22,14 +22,17 @@ def test_report_verdict_is_not_an_argument():
     assert CheckReport("c", {}, 5, 5) != CheckReport("c", {}, 5, 5)
 
 
-def test_report_compares_series_at_the_smaller_order():
+def test_report_compares_series_as_built():
     long, short = Series(INTEGER_RING, [1, 2, 3, 4]), Series(INTEGER_RING, [1, 2])
+    # a series against its own prefix differs, in either argument order
     r = CheckReport("demo", {}, long, short)
-    assert r.ok and r.lhs == r.rhs == short
-    assert r.lhs.order == r.rhs.order == 2
-    assert not CheckReport("demo", {}, long, Series(INTEGER_RING, [1, 3])).ok
-    r = CheckReport("demo", {}, short, long)  # the longer series on the right
-    assert r.ok and r.lhs.order == r.rhs.order == 2
+    assert not r.ok and r.status == "fail"
+    assert not CheckReport("demo", {}, short, long).ok
+    # the report keeps the sides it was given, and prints both orders
+    assert r.lhs is long and r.rhs is short
+    line = json.loads(r.to_json())
+    assert (line["lhs"]["order"], line["rhs"]["order"]) == (4, 2)
+    assert CheckReport("demo", {}, long, Series(INTEGER_RING, [1, 2, 3, 4])).ok
     # a series against a non-series is compared as it is, and differs
     assert not CheckReport("demo", {}, short, 1).ok
 

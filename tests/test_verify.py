@@ -2,7 +2,7 @@ import inspect
 
 import pytest
 
-from catalan_hankel import UniPoly, families, hankel
+from catalan_hankel import Series, UniPoly, families, hankel
 from catalan_hankel.verify import (
     COMPANION_T_TABLE,
     DEFAULT_SEED,
@@ -196,6 +196,9 @@ def test_corollaries_eliminate_each_sweep_once(monkeypatch):
 def test_series_identities_pass():
     reports = check_series_identities(order=10, k_max=5, seed=DEFAULT_SEED)
     assert_all_pass(reports)
+    # every series side is built at the suite's order
+    orders = {side.order for r in reports for side in (r.lhs, r.rhs) if isinstance(side, Series)}
+    assert orders == {10}
     with pytest.raises(ValueError):
         check_series_identities(order=2, k_max=6, seed=DEFAULT_SEED)
     # 4 is the smallest accepted order

@@ -31,13 +31,15 @@ Lucas side
     ``companion_poly_t(k)``   its t-refinement; degree floor((k+1)/2) in x.
 
 Everything is exact, and the module keeps no state: callers that read a
-series more than once build it once and hold it.  Each series builder
-returns exactly ``order`` coefficients, and ``Series.from_polynomial``
-refuses a negative order for all of them.
+series more than once build it once and hold it.  Every series here is
+built by ``Series(ring, coeffs, order)``, so each builder returns exactly
+``order`` coefficients and the constructor refuses a negative order for
+all of them.  ``Family(kind, k)`` reads k as an integer when it is built.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from math import comb
 
@@ -55,18 +57,18 @@ def catalan_conv(k: int, n: int) -> int:
 
 
 def catalan_series(order: int) -> Series:
-    return Series.from_polynomial(INTEGER_RING, [catalan_conv(1, n) for n in range(order)], order)
+    return Series(INTEGER_RING, (catalan_conv(1, n) for n in range(order)), order)
 
 
 def narayana_series(order: int) -> Series:
     """c0(x,t): ordinary generating function of the Narayana polynomials."""
-    return Series.from_polynomial(POLY_RING, [narayana_conv(1, n) for n in range(order)], order)
+    return Series(POLY_RING, (narayana_conv(1, n) for n in range(order)), order)
 
 
 def narayana_series_weighted(order: int) -> Series:
     """c1(x,t) = 1 - t + t*c0(x,t): every positive-index coefficient gains t."""
-    coeffs = [T * narayana_conv(1, n) if n else 1 for n in range(order)]
-    return Series.from_polynomial(POLY_RING, coeffs, order)
+    coeffs = (T * narayana_conv(1, n) if n else 1 for n in range(order))
+    return Series(POLY_RING, coeffs, order)
 
 
 def mixed_powers(k_max: int, order: int) -> list[Series]:
@@ -79,7 +81,7 @@ def mixed_powers(k_max: int, order: int) -> list[Series]:
     if k_max < 0:
         raise ValueError(f"convolution power k_max={k_max} must be >= 0")
     factors = (narayana_series_weighted(order), narayana_series(order))
-    powers = [Series.from_polynomial(POLY_RING, [1], order)]
+    powers = [Series(POLY_RING, [1], order)]
     for k in range(1, k_max + 1):
         powers.append(powers[-1] * factors[k % 2])
     return powers
@@ -144,12 +146,12 @@ def companion_poly_t(k: int) -> Series:
     if k < 1:
         raise ValueError(f"companion index k={k} must be >= 1")
     order = (k + 1) // 2 + 1
-    x_arg = Series.from_polynomial(POLY_RING, [1, UniPoly((-1, -1))], order)
-    s_arg = Series.from_polynomial(POLY_RING, [0, 0, UniPoly((0, -1))], order)
+    x_arg = Series(POLY_RING, [1, UniPoly((-1, -1))], order)
+    s_arg = Series(POLY_RING, [0, 0, UniPoly((0, -1))], order)
     half, odd = divmod(k, 2)
     if not odd:
         return lucas(half, x_arg, s_arg)
-    xt = Series.from_polynomial(POLY_RING, [0, T], order)
+    xt = Series(POLY_RING, [0, T], order)
     return xt * lucas(half, x_arg, s_arg) + lucas(half + 1, x_arg, s_arg)
 
 
@@ -160,13 +162,15 @@ FAMILY_KINDS = (CATALAN_CONV, NARAYANA_CONV)
 
 class Family(namedtuple("Family", "kind k")):
     """A convolution-power family: the immutable, hashable pair (kind, k),
-    whose ``__new__`` rejects an unknown kind or a power k < 1."""
+    whose ``__new__`` rejects an unknown kind, a k that is not an integer
+    (TypeError; a bool reads as its int) or a power k < 1."""
 
     __slots__ = ()
 
     def __new__(cls, kind: str, k: int):
         if kind not in FAMILY_KINDS:
             raise ValueError(f"unknown family kind {kind!r}")
+        k = operator.index(k)
         if k < 1:
             raise ValueError(f"convolution power k={k} must be >= 1")
         return super().__new__(cls, kind, k)

@@ -1,16 +1,18 @@
 """Truncated formal power series in x over Z or Z[t].
 
 A :class:`Series` stores exactly ``order`` known coefficients; everything at
-index >= order is unknown, not zero.  Every operation only claims the
-coefficients it can prove: binary operations truncate to the smaller operand
-order, ``shift`` gains order (the low coefficients of x^k * f are all
-determined), and reading past the truncation raises
-:class:`TruncationError` instead of fabricating a zero.
+index >= order is unknown, not zero.  ``Series(ring, coeffs, order)`` is the
+one constructor: it coerces the given coefficients into the ring, then cuts
+them to ``order`` or pads them with known zeros.  Every operation passes the
+order it proves: binary operations the smaller operand order, ``reciprocal``
+its own, and ``shift(k)`` order + k (the low coefficients of x^k * f are all
+determined).  Reading past the truncation raises :class:`TruncationError`
+instead of fabricating a zero.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 from .polyring import Scalar, _Ring
 
@@ -32,23 +34,19 @@ class Series:
 
     __slots__ = ("ring", "coeffs")
 
-    def __init__(self, ring: _Ring, coeffs: Iterable):
+    def __init__(self, ring: _Ring, coeffs: Iterable, order: int):
+        """The series known to ``order``: every given coefficient coerced into
+        ``ring`` (a foreign one raises TypeError even where it is cut), cut
+        to ``order`` or padded with the ring's zero."""
+        if order < 0:
+            raise ValueError("order must be non-negative")
+        cs = [ring.coerce(c) for c in coeffs][:order]
+        cs.extend([ring.zero] * (order - len(cs)))
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(
-            self, "coeffs", tuple(ring.coerce(c) for c in coeffs)
-        )
+        object.__setattr__(self, "coeffs", tuple(cs))
 
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
-
-    @classmethod
-    def from_polynomial(cls, ring: _Ring, coeffs: Sequence, order: int) -> "Series":
-        """Series of a polynomial: known zero out to the requested order."""
-        if order < 0:
-            raise ValueError("order must be non-negative")
-        cs = list(coeffs[:order])
-        cs.extend([ring.zero] * (order - len(cs)))
-        return cls(ring, cs)
 
     @property
     def order(self) -> int:
@@ -77,9 +75,10 @@ class Series:
 
     def __add__(self, other):
         if not isinstance(other, Series):  # a scalar is its constant series
-            other = Series(self.ring, [other] + [self.ring.zero] * (self.order - 1))
+            other = Series(self.ring, [other], self.order)
         self._match(other)
-        return Series(self.ring, (a + b for a, b in zip(self.coeffs, other.coeffs)))
+        order = min(self.order, other.order)
+        return Series(self.ring, (a + b for a, b in zip(self.coeffs, other.coeffs)), order)
 
     __radd__ = __add__
 
@@ -87,9 +86,10 @@ class Series:
         if isinstance(other, Series):
             self._match(other)
             a, b, zero = self.coeffs, other.coeffs, self.ring.zero
-            return Series(self.ring, (_dot(a, b, 0, m, zero) for m in range(min(len(a), len(b)))))
+            order = min(self.order, other.order)
+            return Series(self.ring, (_dot(a, b, 0, m, zero) for m in range(order)), order)
         s = self.ring.coerce(other)
-        return Series(self.ring, tuple(c * s for c in self.coeffs))
+        return Series(self.ring, (c * s for c in self.coeffs), self.order)
 
     __rmul__ = __mul__
 
@@ -103,13 +103,13 @@ class Series:
         for n in range(1, len(self.coeffs)):
             # t_n = -(a_1 t_{n-1} + ... + a_n t_0), from (sum a x^i)(sum t x^j) = 1
             inv.append(-_dot(self.coeffs, inv, 1, n, self.ring.zero))
-        return Series(self.ring, inv)
+        return Series(self.ring, inv, self.order)
 
     def shift(self, k: int) -> "Series":
         """Multiply by x^k.  All order+k low coefficients are determined."""
         if k < 0:
             raise ValueError("shift must be non-negative")
-        return Series(self.ring, (self.ring.zero,) * k + self.coeffs)
+        return Series(self.ring, (self.ring.zero,) * k + self.coeffs, self.order + k)
 
     def __repr__(self) -> str:
         return f"Series({self.ring.name}, order={self.order}, {list(self.coeffs)!r})"

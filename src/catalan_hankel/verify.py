@@ -33,7 +33,7 @@ from .families import (
     narayana_series,
     narayana_series_weighted,
 )
-from .hankel import det_fraction_free, family_dets, hankel_matrix, leading_minors
+from .hankel import det_fraction_free, family_dets, hankel_matrix
 from .paths import path_weight_sum, path_weight_sum_table
 from .report import CheckReport
 
@@ -64,7 +64,7 @@ def check_reciprocal_duality(
         raise ValueError(f"size N={size} must be >= 1")
     ring = POLY_RING if any(isinstance(c, UniPoly) for c in s_coeffs) else INTEGER_RING
     order = 2 * size + shift + 1
-    s = Series.from_polynomial(ring, s_coeffs, max(order, len(s_coeffs)))
+    s = Series(ring, s_coeffs, max(order, len(s_coeffs)))
     recip = s.reciprocal()
     lhs = det_fraction_free(hankel_matrix(ring, s.coefficient, -shift, size + shift + 1))
     rhs_det = det_fraction_free(hankel_matrix(ring, recip.coefficient, shift + 2, size))
@@ -146,9 +146,8 @@ def check_shift_theorem(name: str, k: int, m: int, n_max: int) -> list[CheckRepo
     sign = _sign(comb(top + 1, 2))
     zero = family.ring.zero
     reports = []
-    matrix = hankel_matrix(family.ring, family.value, back, max(top, n_max + offset))
-    back_dets = leading_minors(matrix.ring, matrix.seq)
-    first_row = list(matrix.seq[:top])
+    back_dets = family_dets(family, back, max(top, n_max + offset))
+    first_row = [family.value(back + j) for j in range(top)]
     for N in range(1, top + 1):
         params = {"k": k, "m": m, "N": N}
         # An all-zero first row of the swept matrix is strictly stronger
@@ -324,7 +323,7 @@ def check_series_identities(order: int, k_max: int, seed: int) -> list[CheckRepo
     ks = range(1, k_max + 1)
 
     def poly(ring, coeffs) -> Series:
-        return Series.from_polynomial(ring, coeffs, order)
+        return Series(ring, coeffs, order)
 
     xc, inv = c.shift(1), c.reciprocal()
     rows = [

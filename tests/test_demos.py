@@ -1,5 +1,6 @@
-"""Every demo script runs to completion against the source tree and prints
-exactly what it printed when its digest was pinned."""
+"""Every demo script runs to completion against the source tree, in
+development mode with every warning an error, and prints exactly what it
+printed when its digest was pinned."""
 
 import hashlib
 import os
@@ -25,7 +26,7 @@ def test_demos_exit_zero():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     for demo in demos:
         proc = subprocess.run(
-            [sys.executable, str(demo)],
+            [sys.executable, "-X", "dev", "-W", "error", str(demo)],
             env=env, capture_output=True, timeout=120,
         )
         assert proc.returncode == 0, f"{demo.name}:\n{proc.stderr.decode()}"

@@ -85,6 +85,8 @@ def test_suite_wrappers_are_gone(name):
 
 def test_series_has_no_truncation_method_or_own_hash():
     assert not hasattr(Series, "trun" + "cated")
+    # Series(ring, coeffs, order) pads and cuts; no second constructor does
+    assert not hasattr(Series, "from" + "_polynomial")
     # __eq__ without __hash__: Python sets __hash__ to None, so series are
     # unhashable rather than hashed by the identity of their ring.
     assert Series.__hash__ is None

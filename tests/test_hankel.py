@@ -264,6 +264,14 @@ def test_family_validation():
         family_dets(Family("catalan-conv", 0), 0, 3)
     with pytest.raises(ValueError):
         family_dets(Family("narayana-conv", 2), 0, -1)
+    # k is read as an integer when the family is built, before any entry
+    for kind in ("catalan-conv", "narayana-conv"):
+        for k in (2.5, 2.0, "2", None, UniPoly((2,))):
+            with pytest.raises(TypeError):
+                Family(kind, k)
+        family = Family(kind, True)
+        assert family.k == 1 and type(family.k) is int
+        assert family == Family(kind, 1)
 
 
 @pytest.mark.parametrize(

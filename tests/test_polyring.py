@@ -124,7 +124,7 @@ def test_exact_div_rejects_every_remainder(a, b, r):
 
 
 def test_foreign_operands():
-    s, p = Series(INTEGER_RING, [1, 2]), UniPoly((1, 1))
+    s, p = Series(INTEGER_RING, [1, 2], 2), UniPoly((1, 1))
     with pytest.raises(TypeError):
         s - p
     with pytest.raises(TypeError):

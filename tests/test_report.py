@@ -23,7 +23,7 @@ def test_report_verdict_is_not_an_argument():
 
 
 def test_report_compares_series_as_built():
-    long, short = Series(INTEGER_RING, [1, 2, 3, 4]), Series(INTEGER_RING, [1, 2])
+    long, short = Series(INTEGER_RING, [1, 2, 3, 4], 4), Series(INTEGER_RING, [1, 2], 2)
     # a series against its own prefix differs, in either argument order
     r = CheckReport("demo", {}, long, short)
     assert not r.ok and r.status == "fail"
@@ -32,7 +32,7 @@ def test_report_compares_series_as_built():
     assert r.lhs is long and r.rhs is short
     line = json.loads(r.to_json())
     assert (line["lhs"]["order"], line["rhs"]["order"]) == (4, 2)
-    assert CheckReport("demo", {}, long, Series(INTEGER_RING, [1, 2, 3, 4])).ok
+    assert CheckReport("demo", {}, long, Series(INTEGER_RING, [1, 2, 3, 4], 4)).ok
     # a series against a non-series is compared as it is, and differs
     assert not CheckReport("demo", {}, short, 1).ok
 
@@ -57,11 +57,11 @@ def test_dumps_forms():
     assert encoded(7) == 7
     assert encoded(UniPoly((1, 0, -2))) == [1, 0, -2]
     assert encoded([1, UniPoly((2,))]) == [1, [2]]
-    s = Series(INTEGER_RING, [1, 2])
+    s = Series(INTEGER_RING, [1, 2], 2)
     assert encoded(s) == {"order": 2, "coeffs": [1, 2]}
-    p = Series(POLY_RING, [UniPoly((1,)), UniPoly((0, 1))])
+    p = Series(POLY_RING, [UniPoly((1,)), UniPoly((0, 1))], 2)
     assert encoded(p) == {"order": 2, "coeffs": [[1], [0, 1]]}
-    assert encoded(Series(INTEGER_RING, [])) == {"order": 0, "coeffs": []}
+    assert encoded(Series(INTEGER_RING, [], 0)) == {"order": 0, "coeffs": []}
     # UniPoly keeps a bool coefficient as given; str and dumps read it as its int
     assert str(UniPoly((1, True))) == "1 + t" and dumps(UniPoly((1, True))) == "[1,1]"
     with pytest.raises(TypeError):
@@ -73,7 +73,7 @@ def test_render_value_forms():
     assert render_value(UniPoly((1, -3, 1))) == "1 - 3*t + t^2"
     assert render_value([1, 2]) == "[1, 2]"
     assert render_value([UniPoly((1, 1)), UniPoly((0, -1))]) == "[1 + t, -t]"
-    s = Series(INTEGER_RING, [1, 2])
+    s = Series(INTEGER_RING, [1, 2], 2)
     assert render_value(s) == "[1, 2] + O(x^2)"
 
 

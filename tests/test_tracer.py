@@ -8,7 +8,8 @@ sweep, a ``verify`` suite whose duality checks take single determinants, the
 ``seq`` table and a ``paths --list`` walk.  The full run shows that the CLI's
 loop over the suites still calls them through ``verify.SUITES``, which the
 tracer rewrites; the last two show that the CLI reaches the library through
-module names the tracer rewrites, not held references.
+module names the tracer rewrites, not held references.  The process runs in
+development mode with every warning an error.
 """
 
 import json
@@ -51,7 +52,7 @@ print(json.dumps(results))
 def test_tracer_installs_and_sees_the_layers():
     path = os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
+        [sys.executable, "-X", "dev", "-W", "error", "-c", SCRIPT],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, encoding="utf-8", timeout=120,
     )

@@ -96,6 +96,14 @@ def test_shift_theorem_reads_first_row_through_families(monkeypatch, name, fn, o
     assert_all_pass(check_shift_theorem(name, k, m, n_max=1))
     back, top = 1 - k - m + odd, m + k - 1 - odd
     assert {(2 * k - odd, back + j) for j in range(top)} <= set(reads)
+    # every family is zero at a negative index, so mark those entries to see
+    # that the zero-row check reads the first row, entries back .. back+N-1
+    def marker(n):
+        return UniPoly((n,)) if fn == "narayana_conv" else n
+
+    monkeypatch.setattr(families, fn, lambda k, n: marker(n) if n < 0 else orig(k, n))
+    rows = [r.lhs for r in check_shift_theorem(name, k, m, n_max=1) if r.check == name + "/zero-row"]
+    assert rows == [[marker(back + j) for j in range(N)] for N in range(1, top + 1)]
 
 
 def test_odd_poly_theorem_rejects_m_zero():
